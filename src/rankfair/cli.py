@@ -115,12 +115,34 @@ def _scheme_from_obj(obj: Mapping) -> GroupScheme:
 
 
 def _attention_from_obj(obj: Mapping) -> AttentionModel:
-    kind = obj.get("kind", "geometric")
-    return AttentionModel(
-        kind,
-        patience=float(obj.get("patience", 0.5)),
-        cutoff=obj.get("cutoff"),
-    )
+    if not isinstance(obj, Mapping):
+        raise ConfigError(f"config key 'attention' must be an object, got {obj!r}")
+    try:
+        return AttentionModel(
+            obj.get("kind", "geometric"),
+            patience=float(obj.get("patience", 0.5)),
+            cutoff=obj.get("cutoff"),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config key 'attention': {exc}") from None
+
+
+def _count(value, name: str) -> int:
+    """A flag or config value that must be an integer of at least 1."""
+    try:
+        count = int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+    if count < 1:
+        raise ConfigError(f"{name} must be at least 1, got {count}")
+    return count
+
+
+def _levels(values, name: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(v) for v in values)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a list of numbers, got {values!r}") from None
 
 
 def _testbed_from_obj(obj: Mapping, default_seed: int) -> TestbedConfig:
@@ -183,9 +205,9 @@ def load_config(path: str | None) -> ExperimentConfig:
         seed=seed,
         out=raw.get("out", "reports"),
         testbed=_testbed_from_obj(raw["testbed"], seed) if "testbed" in raw else None,
-        levels=tuple(float(a) for a in sweep.get("levels", (0.25, 0.4, 0.55, 0.7, 0.8, 0.9, 1.0))),
-        trials=int(sweep.get("trials", 5)),
-        workers=int(sweep.get("workers", 1)),
+        levels=_levels(sweep.get("levels", ExperimentConfig.levels), "config key 'sweep.levels'"),
+        trials=_count(sweep.get("trials", 5), "config key 'sweep.trials'"),
+        workers=_count(sweep.get("workers", 1), "config key 'sweep.workers'"),
         confusion_style=sweep.get("style", "uniform"),
     )
     return cfg
@@ -344,6 +366,8 @@ def _effective_config(config_path, seed, out, **kwargs) -> ExperimentConfig:
     attention = cfg.attention
     patience = kwargs.pop("patience", None)
     cutoff = kwargs.pop("cutoff", None)
+    if cutoff is not None:
+        _count(cutoff, "--cutoff")
     if patience is not None or cutoff is not None:
         attention = AttentionModel(
             attention.kind,
@@ -439,7 +463,8 @@ def compare(config_path, seed, out, annotations_b, exclude_missing, **kwargs):
 @_eval_options
 @click.option("--levels", default=None, help="Comma-separated accuracy levels.")
 @click.option("--trials", type=int, default=None, help="Trials per accuracy level.")
-@click.option("--workers", type=int, default=None, help="Parallel trial workers.")
+@click.option("--workers", type=int, default=None,
+              help="Accepted for compatibility (at least 1); trials always run serially.")
 @click.option("--style", type=click.Choice(["uniform", "biased"]), default=None,
               help="Confusion matrix error structure.")
 def sweep(config_path, seed, out, levels, trials, workers, style, **kwargs):
@@ -452,7 +477,10 @@ def sweep(config_path, seed, out, levels, trials, workers, style, **kwargs):
     def body():
         cfg = _effective_config(config_path, seed, out, **kwargs)
         if levels is not None:
-            cfg = _override(cfg, levels=tuple(float(x) for x in levels.split(",")))
+            cfg = _override(cfg, levels=_levels(levels.split(","), "--levels"))
+        for value, flag in ((trials, "--trials"), (workers, "--workers")):
+            if value is not None:
+                _count(value, flag)
         cfg = _override(cfg, trials=trials, workers=workers, confusion_style=style)
         scheme_name = None
         if cfg.runs and cfg.annotations:

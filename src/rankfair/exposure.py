@@ -4,13 +4,20 @@ Cumulative exposure of a ranking is the attention-weighted sum of the ranked
 documents' membership vectors. Targets come from relevance judgments (mean
 membership of relevant documents), from a uniform assumption, or, for
 ranking sequences, from the equal-exposure-within-grade rule.
+
+Every exposure and qrels target is computed by one kernel: lists of
+documents are compiled once into rows of a scheme's membership matrix
+(:func:`compile_entries`), and any membership matrix over the same doc
+index is then scored by a gather and a contraction (:func:`weighted_rows`).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import itemgetter
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -23,7 +30,6 @@ from .core import (
     Ranking,
     RankingSequence,
     fallback_vector,
-    membership_of,
 )
 from .errors import (
     InvalidPatience,
@@ -119,17 +125,154 @@ class ExposureVector:
 
         Masses already summing to one are kept bit-for-bit unchanged.
         """
-        total = self.total
-        if total == 0.0:
-            raise ZeroMass(f"zero exposure mass for scheme {self.scheme.name!r}")
-        if abs(total - 1.0) <= SUM_TOL:
-            return dataclasses.replace(self, normalized=True)
-        return ExposureVector(
-            self.scheme, tuple(m / total for m in self.masses), normalized=True
-        )
+        masses = normalized_masses(self.as_array(), self.scheme)
+        return ExposureVector(self.scheme, tuple(masses.tolist()), normalized=True)
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.masses, dtype=np.float64)
+
+
+def normalized_masses(raw: np.ndarray, scheme: GroupScheme) -> np.ndarray:
+    """Scale each row (last axis) of raw masses to sum to one.
+
+    Rows already summing to one within ``SUM_TOL`` are kept bit-for-bit
+    unchanged; a row with zero total is an error.
+    """
+    total = raw.sum(axis=-1, keepdims=True)
+    if np.any(total == 0.0):
+        raise ZeroMass(f"zero exposure mass for scheme {scheme.name!r}")
+    return np.where(np.abs(total - 1.0) <= SUM_TOL, raw, raw / total)
+
+
+# --- the exposure kernel ------------------------------------------------------------
+
+
+class CompiledRuns(NamedTuple):
+    """A grid of document lists as rows of one doc index's membership matrix.
+
+    With ``n`` docs in the index, ``rows[a, b, i]`` is the row of the i-th
+    document of list (a, b): a stored row, ``n`` (the fallback row) for a
+    document the index lacks, or ``n + 1`` (the all-zero row) past the end
+    of the list. ``lengths[a, b]`` counts the list's compiled positions,
+    zero for an absent or empty list. ``missing`` is ``(a, b, doc id)`` of
+    the first document the index lacks, in (a, b, position) order, or None.
+    """
+
+    rows: np.ndarray
+    lengths: np.ndarray
+    missing: tuple[int, int, str] | None
+
+
+_doc_id = itemgetter(0)
+
+
+def compile_entries(
+    grid: Sequence[Sequence[Sequence[tuple] | None]],
+    index: dict[str, int],
+    depth: int | None = None,
+) -> CompiledRuns:
+    """Compile a grid of entry lists against a doc index.
+
+    Entries are ``(doc id, value)`` pairs, such as a ranking's entries or
+    qrels ``(doc id, grade)`` pairs; ``None`` marks an absent list. Only the
+    first ``depth`` positions of each list are kept when ``depth`` is set.
+    """
+    n = len(index)
+    lengths = np.array(
+        [[0 if entries is None else len(entries) for entries in row] for row in grid],
+        dtype=np.intp,
+    ).reshape(len(grid), len(grid[0]) if grid else 0)
+    if depth is not None:
+        np.minimum(lengths, depth, out=lengths)
+    rows = np.full(lengths.shape + (max(1, int(lengths.max(initial=0))),), n + 1, dtype=np.intp)
+    for a, row in enumerate(grid):
+        for b, entries in enumerate(row):
+            m = int(lengths[a, b])
+            if m:
+                docs = map(_doc_id, entries[:m])
+                rows[a, b, :m] = np.fromiter(map(index.get, docs, repeat(n)), np.intp, m)
+    missing = None
+    hits = np.flatnonzero(rows == n)
+    if hits.size:
+        a, b, pos = (int(i) for i in np.unravel_index(hits[0], rows.shape))
+        missing = (a, b, grid[a][b][pos][0])
+    return CompiledRuns(rows, lengths, missing)
+
+
+def member_rows(
+    matrix: np.ndarray, scheme: GroupScheme, policy: MissingPolicy, *compiled: CompiledRuns
+) -> np.ndarray:
+    """The membership matrix with its two sentinel rows appended: the
+    fallback row, which the compiled lists' missing documents resolve to,
+    and the all-zero padding row.
+
+    Under ``REJECT`` a missing document raises ``MissingDocument``, lists
+    checked in argument order. When no document is missing the fallback
+    row is NaN, so that a read of it could not pass unnoticed.
+    """
+    missing = next((c.missing for c in compiled if c.missing is not None), None)
+    fill = np.full(scheme.k, np.nan)
+    if missing is not None:
+        if policy is MissingPolicy.REJECT:
+            raise MissingDocument(
+                f"doc {missing[2]!r} has no membership for scheme {scheme.name!r}"
+            )
+        fill = fallback_vector(scheme, policy).as_array()
+    return np.vstack([matrix, fill, np.zeros(scheme.k)])
+
+
+def weighted_rows(runs: CompiledRuns, members: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Weighted sum of each compiled list's membership rows, shape (A, B, k).
+
+    ``weights`` holds one weight per position, or one row of weights per
+    list column b. The gather runs one grid row at a time, so no
+    temporary larger than (B, positions, k) exists.
+    """
+    w = np.broadcast_to(weights, runs.rows.shape[1:])[:, None, :]
+    out = np.empty(runs.rows.shape[:2] + (members.shape[1],))
+    for a, rows in enumerate(runs.rows):
+        out[a] = np.matmul(w, members[rows])[:, 0, :]
+    return out
+
+
+def compile_table(
+    grid: Sequence[Sequence[Sequence[tuple] | None]],
+    table: GroupMembershipTable,
+    scheme: GroupScheme,
+    fallback: MissingPolicy,
+    depth: int | None = None,
+) -> tuple[CompiledRuns, np.ndarray]:
+    """Compile a grid of entry lists against one scheme of a table: the
+    compiled rows, and the scheme's membership matrix with its sentinel rows."""
+    index, matrix = table.matrix(scheme.name)
+    runs = compile_entries(grid, index, depth)
+    return runs, member_rows(matrix, scheme, fallback, runs)
+
+
+class QrelsTargets:
+    """Qrels targets of several queries, compiled against one doc index.
+
+    Each query's target is the mean membership of its relevant documents,
+    weighted by grade when ``graded``. ``pair_lists`` holds each query's
+    ``(doc id, grade)`` pairs of relevant documents.
+    """
+
+    def __init__(
+        self, pair_lists: Sequence[Sequence[tuple[str, int]]], index: dict[str, int], graded: bool
+    ):
+        self.docs = compile_entries([pair_lists], index)
+        self.coeffs = np.zeros(self.docs.rows.shape[1:])
+        for q, pairs in enumerate(pair_lists):
+            self.coeffs[q, : len(pairs)] = [float(g) if graded else 1.0 for _, g in pairs]
+        self.denoms = self.coeffs.sum(axis=1, keepdims=True)
+
+    def masses(self, members: np.ndarray, scheme: GroupScheme) -> np.ndarray:
+        """Normalized targets, one row per query, for one membership matrix."""
+        raw = weighted_rows(self.docs, members, self.coeffs)[0] / self.denoms
+        return normalized_masses(raw, scheme)
+
+
+# --- one-ranking and one-query forms --------------------------------------------------
 
 
 def raw_exposure_array(
@@ -142,31 +285,8 @@ def raw_exposure_array(
     """Attention-weighted sum of membership rows for one ranking (raw masses)."""
     if len(ranking) == 0:
         raise ValueError("cannot compute exposure of an empty ranking")
-    index, matrix = table.matrix(scheme.name)
-    weights = attention_weights(model, len(ranking))
-    m = len(weights)
-    idx = np.empty(m, dtype=np.intp)
-    missing: list[int] = []
-    docs = ranking.doc_ids
-    for pos in range(m):
-        row = index.get(docs[pos], -1)
-        idx[pos] = row
-        if row < 0:
-            missing.append(pos)
-    if missing:
-        if fallback is MissingPolicy.REJECT:
-            raise MissingDocument(
-                f"doc {docs[missing[0]]!r} has no membership for scheme {scheme.name!r}"
-            )
-        fill = fallback_vector(scheme, fallback).as_array()
-        rows = np.empty((m, scheme.k), dtype=np.float64)
-        present = idx >= 0
-        if present.any():
-            rows[present] = matrix[idx[present]]
-        rows[~present] = fill
-    else:
-        rows = matrix[idx]
-    return weights @ rows
+    runs, members = compile_table([[ranking.entries]], table, scheme, fallback, model.cutoff)
+    return weighted_rows(runs, members, attention_weights(model, runs.rows.shape[-1]))[0, 0]
 
 
 def cumulative_exposure(
@@ -183,7 +303,7 @@ def cumulative_exposure(
     """
     scheme = table.scheme(scheme) if isinstance(scheme, str) else scheme
     raw = raw_exposure_array(ranking, table, scheme, model, fallback)
-    return ExposureVector(scheme, tuple(float(x) for x in raw), normalized=False)
+    return ExposureVector(scheme, tuple(raw.tolist()), normalized=False)
 
 
 def target_from_qrels(
@@ -205,21 +325,13 @@ def target_from_qrels(
         raise ValueError(f"unknown target mode {mode!r}")
     scheme = table.scheme(scheme) if isinstance(scheme, str) else scheme
     queries = qrels.queries if corpus_wide else (query_id,)
-    pairs: list[tuple[str, int]] = []
-    for qid in queries:
-        pairs.extend(sorted(qrels.relevant(qid).items()))
+    pairs = [pair for qid in queries for pair in sorted(qrels.relevant(qid).items())]
     if not pairs:
         raise NoRelevantDocuments(f"no relevant documents for query {query_id!r}")
-    coeffs = [1.0 if mode == "binary" else float(g) for _, g in pairs]
-    denom = math.fsum(coeffs)
-    masses = []
-    for g in range(scheme.k):
-        terms = [
-            c * membership_of(table, doc, scheme, fallback).weights[g]
-            for (doc, _), c in zip(pairs, coeffs)
-        ]
-        masses.append(math.fsum(terms) / denom)
-    return ExposureVector(scheme, tuple(masses), normalized=False).normalize()
+    index, matrix = table.matrix(scheme.name)
+    targets = QrelsTargets([pairs], index, graded=mode == "graded")
+    members = member_rows(matrix, scheme, fallback, targets.docs)
+    return ExposureVector(scheme, tuple(targets.masses(members, scheme)[0].tolist()), normalized=True)
 
 
 def target_uniform(scheme: GroupScheme, exclude_unknown: bool = False) -> ExposureVector:
@@ -253,12 +365,13 @@ def expected_group_exposure(
     order rankings appear in the sequence.
     """
     scheme = table.scheme(scheme) if isinstance(scheme, str) else scheme
-    arrays = [
-        raw_exposure_array(r, table, scheme, model, fallback) for r in sequence.rankings
-    ]
-    n = len(arrays)
-    masses = tuple(math.fsum(a[g] for a in arrays) / n for g in range(scheme.k))
-    return ExposureVector(scheme, masses, normalized=False)
+    if any(len(r) == 0 for r in sequence.rankings):
+        raise ValueError("cannot compute exposure of an empty ranking")
+    grid = [[r.entries] for r in sequence.rankings]
+    runs, members = compile_table(grid, table, scheme, fallback, model.cutoff)
+    raw = weighted_rows(runs, members, attention_weights(model, runs.rows.shape[-1]))[:, 0]
+    n = len(sequence)
+    return ExposureVector(scheme, tuple(math.fsum(col) / n for col in raw.T.tolist()))
 
 
 def target_group_exposure(
@@ -296,8 +409,6 @@ def target_group_exposure(
         band = padded[start : end + 1]
         per_doc[start : end + 1] = math.fsum(band) / len(band)
         start = end + 1
-    rows = np.empty((n, scheme.k), dtype=np.float64)
-    for pos, (doc, _) in enumerate(relevant):
-        rows[pos, :] = membership_of(table, doc, scheme, fallback).weights
-    gamma = per_doc @ rows
-    return ExposureVector(scheme, tuple(float(x) for x in gamma), normalized=False)
+    runs, members = compile_table([[relevant]], table, scheme, fallback)
+    gamma = weighted_rows(runs, members, per_doc)[0, 0]
+    return ExposureVector(scheme, tuple(gamma.tolist()), normalized=False)

@@ -20,14 +20,20 @@ from .core import (
     RunSet,
     intersect_tables,
 )
-from .errors import ConfigError, LengthMismatch, NotADistribution
+from .errors import ConfigError, LengthMismatch, MissingDocument, NotADistribution
 from .exposure import (
     DEFAULT_ATTENTION,
     AttentionModel,
+    CompiledRuns,
     ExposureVector,
-    cumulative_exposure,
-    target_from_qrels,
+    QrelsTargets,
+    attention_weights,
+    compile_entries,
+    compile_table,
+    member_rows,
+    normalized_masses,
     target_uniform,
+    weighted_rows,
 )
 
 LN2 = math.log(2.0)
@@ -36,17 +42,51 @@ LN2 = math.log(2.0)
 KL_EPSILON = 1e-10
 
 
-def _as_distribution(p, name: str) -> np.ndarray:
+def _as_distribution(p, name: str, flat: bool = False) -> np.ndarray:
+    """Distributions along the last axis: non-negative, each summing to one."""
     if isinstance(p, ExposureVector):
         p = p.masses
     arr = np.asarray(p, dtype=np.float64)
-    if arr.ndim != 1:
+    if flat and arr.ndim != 1:
         raise NotADistribution(f"{name} must be a flat vector")
     if np.any(arr < 0):
         raise NotADistribution(f"{name} has negative entries")
-    if abs(math.fsum(arr.tolist()) - 1.0) > 1e-9:
+    if np.any(np.abs(arr.sum(axis=-1) - 1.0) > 1e-9):
         raise NotADistribution(f"{name} does not sum to one")
     return arr
+
+
+def _distributions(p, q, flat: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    p = _as_distribution(p, "p", flat)
+    q = _as_distribution(q, "q", flat)
+    if p.shape[-1] != q.shape[-1]:
+        raise LengthMismatch(f"length {p.shape[-1]} vs {q.shape[-1]}")
+    return p, q
+
+
+def _kl(p: np.ndarray, q: np.ndarray, epsilon: float) -> np.ndarray:
+    """KL divergence along the last axis of validated distributions."""
+    ps = p + epsilon
+    qs = q + epsilon
+    ps = ps / ps.sum(axis=-1, keepdims=True)
+    qs = qs / qs.sum(axis=-1, keepdims=True)
+    if epsilon == 0.0:
+        return _kl_terms(ps, qs)
+    return np.sum(ps * np.log(ps / qs), axis=-1)
+
+
+def _js(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """JS divergence along the last axis of validated distributions."""
+    m = (p + q) / 2.0
+    return 0.5 * _kl_terms(p, m) + 0.5 * _kl_terms(q, m)
+
+
+def _kl_terms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum of a * log(a / b) along the last axis; terms with a == 0 count zero."""
+    ratio = np.ones_like(a)
+    with np.errstate(divide="ignore"):
+        np.divide(a, b, out=ratio, where=a > 0)
+    return np.sum(a * np.log(ratio), axis=-1)
 
 
 def kl_divergence(p, q, epsilon: float = KL_EPSILON) -> float:
@@ -56,19 +96,7 @@ def kl_divergence(p, q, epsilon: float = KL_EPSILON) -> float:
     which keeps the value finite when ``q`` has zero entries. Identical
     inputs give exactly zero.
     """
-    p = _as_distribution(p, "p")
-    q = _as_distribution(q, "q")
-    if p.shape != q.shape:
-        raise LengthMismatch(f"length {p.shape[0]} vs {q.shape[0]}")
-    ps = p + epsilon
-    qs = q + epsilon
-    ps = ps / ps.sum()
-    qs = qs / qs.sum()
-    if epsilon == 0.0:
-        mask = ps > 0
-        with np.errstate(divide="ignore"):
-            return float(np.sum(ps[mask] * np.log(ps[mask] / qs[mask])))
-    return float(np.sum(ps * np.log(ps / qs)))
+    return float(_kl(*_distributions(p, q, flat=True), epsilon))
 
 
 def js_divergence(p, q) -> float:
@@ -77,20 +105,11 @@ def js_divergence(p, q) -> float:
     Needs no smoothing: where the mixture is zero both inputs are zero and
     the contribution vanishes.
     """
-    p = _as_distribution(p, "p")
-    q = _as_distribution(q, "q")
-    if p.shape != q.shape:
-        raise LengthMismatch(f"length {p.shape[0]} vs {q.shape[0]}")
-    m = (p + q) / 2.0
-    return 0.5 * _kl_terms(p, m) + 0.5 * _kl_terms(q, m)
+    return float(_js(*_distributions(p, q, flat=True)))
 
 
-def _kl_terms(a: np.ndarray, b: np.ndarray) -> float:
-    mask = a > 0
-    return float(np.sum(a[mask] * np.log(a[mask] / b[mask])))
-
-
-_DIVERGENCES = {"kl": kl_divergence, "js": js_divergence}
+#: Divergences along the last axis, as ``fn(p, q, epsilon)``; JS needs no smoothing.
+_DIVERGENCES = {"kl": _kl, "js": lambda p, q, epsilon: _js(p, q)}
 
 
 def divergence_fn(name: str):
@@ -115,6 +134,36 @@ def worst_case_divergence(name: str, k: int, epsilon: float = KL_EPSILON) -> flo
     return kl_divergence(a, b, epsilon)
 
 
+def awrf_scores(
+    runs: CompiledRuns,
+    members: np.ndarray,
+    targets: np.ndarray,
+    scheme: GroupScheme,
+    model: AttentionModel,
+    divergence: str,
+    epsilon: float = KL_EPSILON,
+) -> np.ndarray:
+    """AWRF of every compiled ranking, shape (systems, queries).
+
+    ``members`` is a membership matrix with its sentinel rows
+    (:func:`member_rows`); ``targets`` holds one target distribution per
+    query, or one for all. An absent or empty ranking scores the worst-case
+    divergence.
+    """
+    fn = divergence_fn(divergence)
+    targets = np.asarray(targets, dtype=np.float64)
+    if targets.shape[-1] != scheme.k:
+        raise LengthMismatch(f"length {scheme.k} vs {targets.shape[-1]}")
+    raw = weighted_rows(runs, members, attention_weights(model, runs.rows.shape[-1]))
+    present = runs.lengths > 0
+    scores = np.full(present.shape, worst_case_divergence(divergence, scheme.k, epsilon))
+    if present.any():
+        observed = normalized_masses(raw[present], scheme)
+        expected = np.broadcast_to(targets, raw.shape)[present]
+        scores[present] = fn(*_distributions(observed, expected), epsilon)
+    return scores
+
+
 def awrf(
     ranking: Ranking,
     table: GroupMembershipTable,
@@ -133,12 +182,12 @@ def awrf(
     scheme = table.scheme(scheme) if isinstance(scheme, str) else scheme
     if not target.normalized and abs(target.total - 1.0) > 1e-9:
         raise NotADistribution("target exposure must be normalized")
-    observed = cumulative_exposure(ranking, table, scheme, model, fallback).normalize()
-    if divergence == "kl":
-        return kl_divergence(observed.masses, target.masses, epsilon)
-    if divergence == "js":
-        return js_divergence(observed.masses, target.masses)
-    raise ConfigError(f"unknown divergence {divergence!r}")
+    if len(ranking) == 0:
+        raise ValueError("cannot compute exposure of an empty ranking")
+    runs, members = compile_table([[ranking.entries]], table, scheme, fallback, model.cutoff)
+    return float(
+        awrf_scores(runs, members, target.as_array(), scheme, model, divergence, epsilon)[0, 0]
+    )
 
 
 class EEMetrics(NamedTuple):
@@ -244,25 +293,91 @@ def _evaluation_queries(runset: RunSet, qrels: Qrels | None, config: MetricConfi
     return list(runset.all_queries)
 
 
-def _target_for(
-    scheme: GroupScheme,
-    query_id: str,
-    qrels: Qrels | None,
-    table: GroupMembershipTable,
-    config: MetricConfig,
-) -> ExposureVector:
+def _fixed_target(scheme: GroupScheme, query_id: str, config: MetricConfig) -> ExposureVector:
     if config.target == "uniform":
         return target_uniform(scheme, exclude_unknown=config.exclude_unknown)
-    if config.target == "file":
-        per_scheme = (config.explicit_targets or {}).get(scheme.name, {})
-        target = per_scheme.get(query_id, per_scheme.get("*"))
-        if target is None:
-            raise ConfigError(
-                f"no explicit target for scheme {scheme.name!r}, query {query_id!r}"
-            )
-        return target
-    mode = "binary" if config.target == "qrels-binary" else "graded"
-    return target_from_qrels(qrels, query_id, table, scheme, mode, config.fallback)
+    per_scheme = (config.explicit_targets or {}).get(scheme.name, {})
+    target = per_scheme.get(query_id, per_scheme.get("*"))
+    if target is None:
+        raise ConfigError(f"no explicit target for scheme {scheme.name!r}, query {query_id!r}")
+    if target.scheme.k != scheme.k:
+        raise LengthMismatch(f"length {scheme.k} vs {target.scheme.k}")
+    return target
+
+
+class CompiledEvaluation:
+    """Per-query AWRF of one scheme over a run set, compiled once against
+    the scheme's doc index.
+
+    Every system's ranking of every evaluation query, and each query's
+    relevant documents, are held as rows of the scheme's membership matrix,
+    so :meth:`scores` costs one gather and contraction for any membership
+    matrix over the same doc index, such as a corrupted copy of it.
+    """
+
+    def __init__(
+        self,
+        runset: RunSet,
+        qrels: Qrels | None,
+        table: GroupMembershipTable,
+        scheme: GroupScheme,
+        config: MetricConfig,
+    ):
+        self.scheme = scheme
+        self.config = config
+        self.systems = runset.systems
+        self.queries = tuple(_evaluation_queries(runset, qrels, config))
+        index, _ = table.matrix(scheme.name)
+        self.relevant: QrelsTargets | None = None
+        self.targets: np.ndarray | None = None
+        if config.target in ("qrels-binary", "qrels-graded"):
+            pairs = [sorted(qrels.relevant(q).items()) for q in self.queries]
+            self.relevant = QrelsTargets(pairs, index, graded=config.target == "qrels-graded")
+        else:
+            fixed = [_fixed_target(scheme, q, config).masses for q in self.queries]
+            self.targets = np.array(fixed, dtype=np.float64).reshape(len(fixed), scheme.k)
+        grid = [[_entries(runset.get(s, q)) for q in self.queries] for s in self.systems]
+        self.runs = compile_entries(grid, index, config.attention.cutoff)
+
+    @property
+    def compiled(self) -> tuple[CompiledRuns, ...]:
+        """The compiled lists, in the order missing documents are resolved."""
+        return (self.runs,) if self.relevant is None else (self.relevant.docs, self.runs)
+
+    def scores(self, matrix: np.ndarray) -> np.ndarray:
+        """Per-query scores of every system, shape (systems, queries), for a
+        membership matrix over the compiled doc index."""
+        config = self.config
+        members = member_rows(matrix, self.scheme, config.fallback, *self.compiled)
+        if self.relevant is None:
+            targets = self.targets
+        else:
+            targets = self.relevant.masses(members, self.scheme)
+        values = awrf_scores(
+            self.runs, members, targets, self.scheme, config.attention,
+            config.divergence, config.epsilon,
+        )
+        return 1.0 - values / LN2 if config.complement else values
+
+
+def _entries(ranking: Ranking | None):
+    return None if ranking is None else ranking.entries
+
+
+def _reject_first_missing(evaluations: Sequence[CompiledEvaluation]) -> None:
+    """Raise for the missing document a query-by-query pass meets first:
+    relevant documents metric by metric, then ranked documents by system,
+    query and metric."""
+    found = []
+    for i, evaluation in enumerate(evaluations):
+        if evaluation.relevant is not None and evaluation.relevant.docs.missing:
+            found.append(((0, i), evaluation.relevant.docs.missing[2], evaluation.scheme))
+        elif evaluation.runs.missing:
+            a, b, doc = evaluation.runs.missing
+            found.append(((1, a, b, i), doc, evaluation.scheme))
+    if found:
+        _, doc, scheme = min(found, key=lambda item: item[0])
+        raise MissingDocument(f"doc {doc!r} has no membership for scheme {scheme.name!r}")
 
 
 def evaluate_runset(
@@ -288,48 +403,26 @@ def evaluate_runset(
     if len(schemes) >= 2 and config.include_overall:
         overall = intersect_tables(table, list(schemes), fallback=config.fallback)
         work.append(("awrf:overall", overall, overall.scheme("overall")))
-    queries = _evaluation_queries(runset, qrels, config)
-
-    targets: dict[tuple[str, str], ExposureVector] = {}
-    for metric, tbl, scheme in work:
-        for query_id in queries:
-            targets[(metric, query_id)] = _target_for(scheme, query_id, qrels, tbl, config)
-
+    evaluations = [CompiledEvaluation(runset, qrels, tbl, scheme, config) for _, tbl, scheme in work]
+    if config.fallback is MissingPolicy.REJECT:
+        _reject_first_missing(evaluations)
+    columns = {
+        metric: evaluation.scores(tbl.matrix(scheme.name)[1]).tolist()
+        for (metric, tbl, scheme), evaluation in zip(work, evaluations)
+    }
+    queries = evaluations[0].queries
+    absent = evaluations[0].runs.lengths == 0
     reports: dict[str, MetricReport] = {}
-    for system_tag in runset.systems:
-        per_query: dict[str, dict[str, float]] = {}
-        missing: list[str] = []
-        for query_id in queries:
-            ranking = runset.get(system_tag, query_id)
-            row: dict[str, float] = {}
-            absent = ranking is None or len(ranking) == 0
-            if absent:
-                missing.append(query_id)
-            for metric, tbl, scheme in work:
-                if absent:
-                    value = worst_case_divergence(
-                        config.divergence, scheme.k, config.epsilon
-                    )
-                else:
-                    value = awrf(
-                        ranking,
-                        tbl,
-                        scheme,
-                        targets[(metric, query_id)],
-                        config.attention,
-                        config.divergence,
-                        config.epsilon,
-                        config.fallback,
-                    )
-                if config.complement:
-                    value = 1.0 - value / LN2
-                row[metric] = value
-            per_query[query_id] = row
+    for i, system_tag in enumerate(runset.systems):
+        per_query = {
+            query_id: {metric: values[i][j] for metric, values in columns.items()}
+            for j, query_id in enumerate(queries)
+        }
         reports[system_tag] = MetricReport(
             system_tag=system_tag,
             per_query=per_query,
             aggregates=_aggregate(per_query),
-            missing_queries=tuple(missing),
+            missing_queries=tuple(q for j, q in enumerate(queries) if absent[i, j]),
         )
     return reports
 

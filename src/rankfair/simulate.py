@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -28,8 +27,8 @@ from .core import (
     RunSet,
     one_hot,
 )
-from .errors import AccuracyOutOfRange, ConstantInput
-from .metrics import MetricConfig, evaluate_runset
+from .errors import AccuracyOutOfRange, ConfigError, ConstantInput
+from .metrics import CompiledEvaluation, MetricConfig
 from .stats import ALPHA, CorrelationResult, pearson, spearman
 
 
@@ -103,10 +102,40 @@ def confusion_for_accuracy(
     return ConfusionMatrix(scheme, rows)
 
 
-def _doc_uniform(seed: int, doc_id: str) -> float:
-    """Uniform draw in [0, 1) from a per-document hash stream."""
-    digest = hashlib.blake2b(f"{seed}:{doc_id}".encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "little") / 2.0**64
+def _doc_uniforms(seed: int, doc_ids: Sequence[str]) -> np.ndarray:
+    """Uniform draws in [0, 1), one per document, from a per-document hash
+    stream: the blake2b digest of ``f"{seed}:{doc_id}"``. A draw depends on
+    neither iteration order nor the other documents."""
+    prefix = hashlib.blake2b(f"{seed}:".encode("utf-8"), digest_size=8)
+    digests = bytearray()
+    for doc_id in doc_ids:
+        h = prefix.copy()
+        h.update(doc_id.encode("utf-8"))
+        digests += h.digest()
+    return np.frombuffer(bytes(digests), dtype="<u8") / 2.0**64
+
+
+def _corrupted_rows(
+    stored: np.ndarray, doc_ids: Sequence[str], matrix: ConfusionMatrix, seed: int, mode: str
+) -> np.ndarray:
+    """Membership rows of ``doc_ids`` (rows of ``stored``) after corruption
+    through ``matrix``; see :func:`apply_confusion`."""
+    m = matrix.as_array()
+    if mode == "soft":
+        return stored @ m
+    k = matrix.scheme.k
+    truth = np.argmax(stored, axis=1)  # ties resolve to the lowest index
+    draws = _doc_uniforms(seed, doc_ids)
+    cum = np.cumsum(m, axis=1)
+    labels = np.empty(len(doc_ids), dtype=np.intp)
+    for g in range(k):
+        mask = truth == g
+        if mask.any():
+            labels[mask] = np.searchsorted(cum[g], draws[mask], side="right")
+    np.clip(labels, 0, k - 1, out=labels)
+    rows = np.zeros((len(doc_ids), k), dtype=np.float64)
+    rows[np.arange(len(doc_ids)), labels] = 1.0
+    return rows
 
 
 def apply_confusion(
@@ -128,24 +157,9 @@ def apply_confusion(
     scheme = matrix.scheme
     index, stored = table.matrix(scheme.name)
     ids = sorted(index, key=index.get)
-    m = matrix.as_array()
-    if mode == "soft":
-        new_rows = stored @ m
-    else:
-        truth = np.argmax(stored, axis=1)  # ties resolve to the lowest index
-        draws = np.array([_doc_uniform(seed, doc_id) for doc_id in ids])
-        cum = np.cumsum(m, axis=1)
-        labels = np.empty(len(ids), dtype=np.intp)
-        for g in range(scheme.k):
-            mask = truth == g
-            if mask.any():
-                labels[mask] = np.searchsorted(cum[g], draws[mask], side="right")
-        np.clip(labels, 0, scheme.k - 1, out=labels)
-        new_rows = np.zeros((len(ids), scheme.k), dtype=np.float64)
-        new_rows[np.arange(len(ids)), labels] = 1.0
+    new_rows = _corrupted_rows(stored, ids, matrix, seed, mode)
     corrupted = {
-        doc_id: MembershipVector(scheme, tuple(new_rows[row]))
-        for row, doc_id in enumerate(ids)
+        doc_id: MembershipVector(scheme, row) for doc_id, row in zip(ids, new_rows.tolist())
     }
     vectors = {name: dict(table.docs(name)) for name in table.scheme_names}
     vectors[scheme.name] = corrupted
@@ -324,8 +338,12 @@ def accuracy_sweep(
     Each (level, trial) cell corrupts the table hard-label style with its own
     derived seed, re-evaluates every system, and records Pearson/Spearman
     over system means plus a summary of per-query Pearson coefficients.
-    Results are identical for serial and parallel execution.
+    The run set is compiled once; every cell then scores only a new
+    membership matrix. Cells run serially: ``workers`` is accepted for
+    compatibility and must be at least 1.
     """
+    if workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {workers}")
     if trials < 1:
         raise ValueError("need at least one trial per level")
     level_list = sorted({float(a) for a in levels})
@@ -337,34 +355,29 @@ def accuracy_sweep(
     for a in level_list:  # validate all levels before any work
         confusion_for_accuracy(scheme, a, style)
     config = metric_config or MetricConfig()
-    metric = f"awrf:{scheme_name}"
 
-    truth = evaluate_runset(runset, qrels, table, [scheme_name], config)
-    systems = sorted(truth)
-    truth_sys = np.array([truth[s].aggregates[metric] for s in systems])
-    queries = truth[systems[0]].queries
-    truth_query = {
-        q: np.array([truth[s].per_query[q][metric] for s in systems]) for q in queries
-    }
+    evaluation = CompiledEvaluation(runset, qrels, table, scheme, config)
+    if not evaluation.queries:
+        raise ConfigError("the sweep has no evaluation queries")
+    index, stored = table.matrix(scheme_name)
+    ids = sorted(index, key=index.get)
+    truth = evaluation.scores(stored)
+    truth_sys = _system_means(truth)
 
-    def run_cell(cell: tuple[int, int]) -> SweepTrial:
-        level_index, trial = cell
+    def run_cell(level_index: int, trial: int) -> SweepTrial:
         accuracy = level_list[level_index]
         cm = confusion_for_accuracy(scheme, accuracy, style)
-        corrupted = apply_confusion(
-            table, cm, seed=_trial_seed(seed, level_index, trial), mode="hard"
-        )
-        degraded = evaluate_runset(runset, qrels, corrupted, [scheme_name], config)
-        sys_scores = np.array([degraded[s].aggregates[metric] for s in systems])
+        rows = _corrupted_rows(stored, ids, cm, _trial_seed(seed, level_index, trial), "hard")
+        degraded = evaluation.scores(rows)
+        sys_scores = _system_means(degraded)
         pr = pearson(sys_scores, truth_sys)
         sr = spearman(sys_scores, truth_sys)
         rs: list[float] = []
         significant = 0
         skipped = 0
-        for q in queries:
-            xs = np.array([degraded[s].per_query[q][metric] for s in systems])
+        for q in range(len(evaluation.queries)):
             try:
-                c = pearson(xs, truth_query[q])
+                c = pearson(degraded[:, q], truth[:, q])
             except ConstantInput:
                 skipped += 1
                 continue
@@ -384,12 +397,7 @@ def accuracy_sweep(
             query_skipped=skipped,
         )
 
-    cells = [(li, ti) for li in range(len(level_list)) for ti in range(trials)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_cell, cells))
-    else:
-        results = [run_cell(cell) for cell in cells]
+    results = [run_cell(li, ti) for li in range(len(level_list)) for ti in range(trials)]
 
     summary = []
     for li, accuracy in enumerate(level_list):
@@ -405,6 +413,11 @@ def accuracy_sweep(
             )
         )
     return SweepResult(tuple(level_list), tuple(results), tuple(summary))
+
+
+def _system_means(scores: np.ndarray) -> np.ndarray:
+    """Per-system mean over queries, summed exactly as report aggregates are."""
+    return np.array([math.fsum(row) / len(row) for row in scores.tolist()])
 
 
 def sweep_trials_to_csv(result: SweepResult) -> str:

@@ -315,3 +315,36 @@ class TestCost:
         runner = CliRunner()
         result = runner.invoke(main, ["cost", "--docs", "10", "--model", "nope"])
         assert result.exit_code == 1
+
+
+# (command and flags, config changes, flag or config key the message names)
+BAD_INPUTS = [
+    (["sweep", "--trials", "0"], {}, "--trials"),
+    (["sweep", "--levels", "0.5,abc"], {}, "--levels"),
+    (["sweep", "--workers", "0"], {}, "--workers"),
+    (["sweep", "--workers", "-3"], {}, "--workers"),
+    (["evaluate", "--cutoff", "0"], {}, "--cutoff"),
+    (["evaluate"], {"attention": {"kind": "bogus"}}, "'attention'"),
+    (["evaluate"], {"attention": {"kind": "uniform"}}, "'attention'"),
+    (["sweep"], {"sweep": {"trials": 0}}, "'sweep.trials'"),
+    (["sweep"], {"sweep": {"workers": -1}}, "'sweep.workers'"),
+    (["sweep"], {"sweep": {"levels": [0.5, "x"]}}, "'sweep.levels'"),
+]
+
+
+@pytest.mark.parametrize("args,changes,name", BAD_INPUTS)
+def test_bad_input_is_one_named_error_line(tmp_path, args, changes, name):
+    config = {
+        "schemes": [{"name": "pair", "groups": ["g0", "g1"]}],
+        "testbed": {"queries": 2, "docs_per_query": 10, "groups": 2, "systems": 3, "seed": 1},
+        "out": str(tmp_path / "out"),
+        **changes,
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    result = CliRunner().invoke(main, [*args, "--config", str(path)])
+    assert result.exit_code == 1
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error: ConfigError: "), result.output
+    assert name in lines[0]
+    assert not (tmp_path / "out").exists()

@@ -1,0 +1,344 @@
+"""Property tests: the compiled exposure kernel against a per-document oracle.
+
+The oracle is the per-document evaluation the kernel replaced: each ranked
+document is looked up on its own, missing ones resolved by policy, and every
+sum is exact (``math.fsum``). It shares no array code with the kernel.
+"""
+
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rankfair.core import (
+    GroupMembershipTable,
+    GroupScheme,
+    MissingPolicy,
+    Qrels,
+    Ranking,
+    RankingSequence,
+    RunSet,
+    intersect_tables,
+    normalize,
+    one_hot,
+    product_scheme,
+)
+from rankfair.errors import MissingDocument
+from rankfair.exposure import (
+    AttentionModel,
+    ExposureVector,
+    cumulative_exposure,
+    expected_group_exposure,
+    target_from_qrels,
+)
+from rankfair.metrics import KL_EPSILON, LN2, MetricConfig, awrf, evaluate_runset
+
+TOL = 1e-12
+
+
+# --- oracle ---------------------------------------------------------------------------
+
+
+def oracle_weights(model, n):
+    m = n if model.cutoff is None else min(n, model.cutoff)
+    if model.kind == "geometric":
+        return [model.patience * (1.0 - model.patience) ** i for i in range(m)]
+    if model.kind == "log":
+        return [1.0 / math.log2(i + 2.0) for i in range(m)]
+    return [1.0] * m
+
+
+def oracle_member(table, scheme, doc, policy):
+    vector = table.get(scheme.name, doc)
+    if vector is not None:
+        return vector.weights
+    if policy is MissingPolicy.REJECT:
+        raise MissingDocument(f"doc {doc!r} has no membership for scheme {scheme.name!r}")
+    if policy is MissingPolicy.UNIFORM:
+        return (1.0 / scheme.k,) * scheme.k
+    return one_hot(scheme, scheme.unknown_index).weights
+
+
+def oracle_exposure(ranking, table, scheme, model, policy):
+    weights = oracle_weights(model, len(ranking))
+    rows = [oracle_member(table, scheme, doc, policy) for doc, _ in ranking.entries[: len(weights)]]
+    return [math.fsum(w * row[g] for w, row in zip(weights, rows)) for g in range(scheme.k)]
+
+
+def oracle_sequence_exposure(sequence, table, scheme, model, policy):
+    raws = [oracle_exposure(r, table, scheme, model, policy) for r in sequence.rankings]
+    return [math.fsum(col) / len(raws) for col in zip(*raws)]
+
+
+def oracle_normalize(masses):
+    total = math.fsum(masses)
+    return list(masses) if abs(total - 1.0) <= 1e-9 else [m / total for m in masses]
+
+
+def oracle_qrels_target(pairs, table, scheme, graded, policy):
+    coeffs = [float(g) if graded else 1.0 for _, g in pairs]
+    rows = [oracle_member(table, scheme, doc, policy) for doc, _ in pairs]
+    denom = math.fsum(coeffs)
+    masses = [math.fsum(c * row[g] for c, row in zip(coeffs, rows)) / denom for g in range(scheme.k)]
+    return oracle_normalize(masses)
+
+
+def oracle_kl(p, q, epsilon=KL_EPSILON):
+    ps = [x + epsilon for x in p]
+    qs = [x + epsilon for x in q]
+    zp, zq = math.fsum(ps), math.fsum(qs)
+    return math.fsum((a / zp) * math.log((a / zp) / (b / zq)) for a, b in zip(ps, qs))
+
+
+def oracle_js(p, q):
+    m = [(a + b) / 2 for a, b in zip(p, q)]
+    left = math.fsum(a * math.log(a / c) for a, c in zip(p, m) if a > 0)
+    right = math.fsum(b * math.log(b / c) for b, c in zip(q, m) if b > 0)
+    return 0.5 * left + 0.5 * right
+
+
+def oracle_divergence(name, p, q):
+    return oracle_js(p, q) if name == "js" else oracle_kl(p, q)
+
+
+def oracle_worst(name, k):
+    return LN2 if name == "js" else oracle_kl([1.0] + [0.0] * (k - 1), [0.0, 1.0] + [0.0] * (k - 2))
+
+
+def oracle_evaluate(runset, qrels, table, schemes, config):
+    """Per-query scores in the order the per-document evaluation met them:
+    every target first, then system by system, query by query."""
+    work = [(f"awrf:{n}", table, table.scheme(n)) for n in schemes]
+    if len(schemes) >= 2 and config.include_overall:
+        overall = intersect_tables(table, list(schemes), fallback=config.fallback)
+        work.append(("awrf:overall", overall, overall.scheme("overall")))
+    if config.target.startswith("qrels"):
+        queries = [q for q in qrels.queries if qrels.relevant(q)]
+    else:
+        queries = sorted({r.query_id for r in runset.rankings()})
+    targets = {}
+    for metric, tbl, scheme in work:
+        for q in queries:
+            if config.target == "uniform":
+                targets[metric, q] = [1.0 / scheme.k] * scheme.k
+            elif config.target == "file":
+                per_scheme = config.explicit_targets[scheme.name]
+                targets[metric, q] = list(per_scheme.get(q, per_scheme["*"]).masses)
+            else:
+                pairs = sorted(qrels.relevant(q).items())
+                graded = config.target == "qrels-graded"
+                targets[metric, q] = oracle_qrels_target(pairs, tbl, scheme, graded, config.fallback)
+    scores = {}
+    for system in runset.systems:
+        for q in queries:
+            ranking = runset.get(system, q)
+            for metric, tbl, scheme in work:
+                if ranking is None or len(ranking) == 0:
+                    value = oracle_worst(config.divergence, scheme.k)
+                else:
+                    raw = oracle_exposure(ranking, tbl, scheme, config.attention, config.fallback)
+                    value = oracle_divergence(
+                        config.divergence, oracle_normalize(raw), targets[metric, q]
+                    )
+                if config.complement:
+                    value = 1.0 - value / LN2
+                scores[system, q, metric] = value
+    return queries, scores
+
+
+# --- strategies -----------------------------------------------------------------------
+
+
+POLICIES = [MissingPolicy.UNIFORM, MissingPolicy.ALL_UNKNOWN, MissingPolicy.REJECT]
+
+#: Raw membership weights on a 1/1000 grid: exact zeros are common, while
+#: subnormal weights, whose halves underflow, are not drawn.
+WEIGHTS = st.integers(0, 1000).map(lambda i: i / 1000)
+
+
+@st.composite
+def attention_models(draw):
+    kind = draw(st.sampled_from(["geometric", "log", "uniform"]))
+    cutoff = draw(st.none() | st.integers(1, 6))
+    if kind == "uniform" and cutoff is None:
+        cutoff = draw(st.integers(1, 6))
+    patience = draw(st.floats(0.05, 0.95))
+    return AttentionModel(kind, patience=patience, cutoff=cutoff)
+
+
+@st.composite
+def tables(draw, schemes, docs):
+    """Soft or one-hot vectors for a random subset of ``docs`` per scheme."""
+    vectors = {}
+    for scheme in schemes:
+        per_scheme = {}
+        for doc in docs:
+            if not draw(st.booleans()) and draw(st.booleans()):
+                continue  # a quarter of the documents have no vector
+            if draw(st.booleans()):
+                per_scheme[doc] = one_hot(scheme, draw(st.integers(0, scheme.k - 1)))
+            else:
+                raw = draw(st.lists(WEIGHTS, min_size=scheme.k, max_size=scheme.k))
+                raw[draw(st.integers(0, scheme.k - 1))] += 0.25
+                per_scheme[doc] = normalize(raw, scheme)
+        vectors[scheme.name] = per_scheme
+    return GroupMembershipTable(schemes, vectors)
+
+
+def scheme_of(name, k):
+    return GroupScheme(name, tuple(f"{name}{i}" for i in range(k)), unknown_index=k - 1)
+
+
+@st.composite
+def rankings(draw, docs, query_id="q0", system="s0"):
+    ranked = draw(st.lists(st.sampled_from(docs), unique=True, max_size=len(docs)))
+    return Ranking(query_id, tuple((d, float(len(ranked) - i)) for i, d in enumerate(ranked)), system)
+
+
+@st.composite
+def experiments(draw):
+    docs = [f"d{i}" for i in range(draw(st.integers(1, 7)))]
+    schemes = [scheme_of("a", draw(st.integers(2, 4)))]
+    if draw(st.booleans()):
+        schemes.append(scheme_of("b", draw(st.integers(2, 3))))
+    table = draw(tables(schemes, docs))
+    queries = [f"q{i}" for i in range(draw(st.integers(1, 3)))]
+    runs = []
+    for s in range(draw(st.integers(1, 3))):
+        for q in queries:
+            if draw(st.integers(0, 4)):  # one ranking in five is absent
+                runs.append(draw(rankings(docs, q, f"s{s}")))
+    judgments = {
+        q: {d: draw(st.integers(0, 3)) for d in draw(st.lists(st.sampled_from(docs), unique=True))}
+        for q in queries
+    }
+    target = draw(st.sampled_from(["qrels-binary", "qrels-graded", "uniform", "file"]))
+    explicit = None
+    if target == "file":
+        explicit = {}
+        for scheme in schemes:
+            raw = draw(st.lists(WEIGHTS, min_size=scheme.k, max_size=scheme.k))
+            default = ExposureVector(scheme, normalize([w + 0.01 for w in raw], scheme).weights, normalized=True)
+            explicit[scheme.name] = {"*": default, queries[0]: target_vector(scheme, 0)}
+        if len(schemes) >= 2:  # the intersection scheme needs a target too
+            overall = product_scheme(*schemes, name="overall")
+            explicit["overall"] = {"*": target_vector(overall, 0)}
+    divergence = draw(st.sampled_from(["js", "kl"]))
+    config = MetricConfig(
+        attention=draw(attention_models()),
+        divergence=divergence,
+        target=target,
+        explicit_targets=explicit,
+        fallback=draw(st.sampled_from(POLICIES)),
+        include_overall=draw(st.booleans()),
+        complement=divergence == "js" and draw(st.booleans()),
+    )
+    return RunSet(runs), Qrels(judgments), table, [s.name for s in schemes], config
+
+
+def target_vector(scheme, group):
+    return ExposureVector(scheme, one_hot(scheme, group).weights, normalized=True)
+
+
+def outcome(fn, *args):
+    """The function's result, or the message of the MissingDocument it raised."""
+    try:
+        return fn(*args)
+    except MissingDocument as exc:
+        return f"MissingDocument: {exc}"
+
+
+# --- properties -----------------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(experiments())
+def test_evaluate_runset_matches_oracle(experiment):
+    runset, qrels, table, schemes, config = experiment
+    want = outcome(oracle_evaluate, runset, qrels, table, schemes, config)
+    got = outcome(evaluate_runset, runset, qrels, table, schemes, config)
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+        return
+    queries, scores = want
+    assert sorted(got) == list(runset.systems)
+    for system, report in got.items():
+        assert report.queries == tuple(queries)
+        for (s, q, metric), value in scores.items():
+            if s == system:
+                assert abs(report.per_query[q][metric] - value) <= TOL
+        absent = tuple(
+            q for q in queries if runset.get(system, q) is None or len(runset.get(system, q)) == 0
+        )
+        assert report.missing_queries == absent
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_one_ranking_exposure_and_awrf_match_oracle(data):
+    docs = [f"d{i}" for i in range(data.draw(st.integers(1, 7)))]
+    scheme = scheme_of("a", data.draw(st.integers(2, 4)))
+    table = data.draw(tables([scheme], docs))
+    ranking = data.draw(rankings(docs))
+    model = data.draw(attention_models())
+    policy = data.draw(st.sampled_from(POLICIES))
+    divergence = data.draw(st.sampled_from(["js", "kl"]))
+    target = target_vector(scheme, data.draw(st.integers(0, scheme.k - 1)))
+    if len(ranking) == 0:
+        with pytest.raises(ValueError):
+            cumulative_exposure(ranking, table, scheme, model, policy)
+        return
+    want = outcome(oracle_exposure, ranking, table, scheme, model, policy)
+    got = outcome(cumulative_exposure, ranking, table, scheme, model, policy)
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+        return
+    assert max(abs(a - b) for a, b in zip(got.masses, want)) <= TOL
+    expected = oracle_divergence(divergence, oracle_normalize(want), target.masses)
+    value = awrf(ranking, table, scheme, target, model, divergence, fallback=policy)
+    assert abs(value - expected) <= TOL
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_sequence_exposure_and_qrels_target_match_oracle(data):
+    docs = [f"d{i}" for i in range(data.draw(st.integers(1, 7)))]
+    scheme = scheme_of("a", data.draw(st.integers(2, 4)))
+    table = data.draw(tables([scheme], docs))
+    policy = data.draw(st.sampled_from(POLICIES))
+    model = data.draw(attention_models())
+    sequence = RankingSequence(
+        "q0", tuple(data.draw(st.lists(rankings(docs).filter(len), min_size=1, max_size=4)))
+    )
+    want = outcome(oracle_sequence_exposure, sequence, table, scheme, model, policy)
+    got = outcome(expected_group_exposure, sequence, table, scheme, model, policy)
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+    else:
+        assert max(abs(a - b) for a, b in zip(got.masses, want)) <= TOL
+
+    grades = {d: data.draw(st.integers(1, 3)) for d in data.draw(
+        st.lists(st.sampled_from(docs), unique=True, min_size=1))}
+    qrels = Qrels({"q0": grades})
+    for mode in ("binary", "graded"):
+        pairs = sorted(grades.items())
+        want = outcome(oracle_qrels_target, pairs, table, scheme, mode == "graded", policy)
+        got = outcome(target_from_qrels, qrels, "q0", table, scheme, mode, policy)
+        if isinstance(want, str) or isinstance(got, str):
+            assert got == want
+        else:
+            assert max(abs(a - b) for a, b in zip(got.masses, want)) <= TOL
+
+
+def test_reject_names_the_doc_a_query_by_query_pass_meets_first():
+    # 'a' lacks a ranked doc and 'b' a relevant one: every target is resolved
+    # before any ranking, so the error names b's relevant doc.
+    a, b = scheme_of("a", 2), scheme_of("b", 2)
+    table = GroupMembershipTable([a, b], {"a": {"d0": one_hot(a, 0)}, "b": {"d1": one_hot(b, 1)}})
+    runset = RunSet([Ranking("q0", (("d0", 2.0), ("d1", 1.0)), "s0")])
+    qrels = Qrels({"q0": {"d0": 1}})
+    config = MetricConfig(fallback=MissingPolicy.REJECT, include_overall=False)
+    want = outcome(oracle_evaluate, runset, qrels, table, ["a", "b"], config)
+    assert want == "MissingDocument: doc 'd0' has no membership for scheme 'b'"
+    assert outcome(evaluate_runset, runset, qrels, table, ["a", "b"], config) == want

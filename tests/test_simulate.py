@@ -7,11 +7,13 @@ from rankfair.core import (
     GroupMembershipTable,
     GroupScheme,
     MembershipVector,
+    Qrels,
     normalize,
     one_hot,
 )
-from rankfair.errors import AccuracyOutOfRange
-from rankfair.metrics import evaluate_runset
+from rankfair.errors import AccuracyOutOfRange, ConfigError
+from rankfair.metrics import MetricConfig, evaluate_runset
+from rankfair.stats import pearson, spearman
 from rankfair import simulate
 from rankfair.simulate import (
     ConfusionMatrix,
@@ -127,6 +129,14 @@ class TestApplyConfusion:
         c = apply_confusion(table_fwd, matrix, seed=4, mode="hard")
         assert a != c
 
+    def test_draw_stream_pinned(self):
+        draws = simulate._doc_uniforms
+        assert draws(0, ["d0"]).tolist() == [0.2485205248491542]
+        assert draws(42, ["q000_d0001"]).tolist() == [0.3128580503452809]
+        assert draws(2**64 - 1, ["doc-\u00fc"]).tolist() == [0.7805801770679761]
+        # a draw does not depend on the other documents or their order
+        assert draws(42, ["d0", "q000_d0001"]).tolist()[1] == 0.3128580503452809
+
     def test_other_schemes_pass_through(self):
         table = GroupMembershipTable(
             [G4, G2],
@@ -220,6 +230,54 @@ class TestAccuracySweep:
         bed = generate_testbed(SMALL)
         with pytest.raises(AccuracyOutOfRange):
             accuracy_sweep(bed, [0.1], trials=1)
+
+    def test_matches_cells_built_from_public_functions(self):
+        bed = generate_testbed(SMALL)
+        config = MetricConfig(divergence="kl", target="qrels-graded")
+        levels = [0.25, 0.55, 0.9, 1.0]
+        result = accuracy_sweep(bed, levels, trials=2, metric_config=config, seed=17)
+        truth = evaluate_runset(bed.runset, bed.qrels, bed.table, ["group"], config)
+        systems = sorted(truth)
+        queries = truth[systems[0]].queries
+        scheme = bed.table.scheme("group")
+        for trial in result.trials:
+            cell_seed = simulate._trial_seed(17, levels.index(trial.accuracy), trial.trial)
+            cm = confusion_for_accuracy(scheme, trial.accuracy)
+            table = apply_confusion(bed.table, cm, seed=cell_seed, mode="hard")
+            degraded = evaluate_runset(bed.runset, bed.qrels, table, ["group"], config)
+            system = [
+                [reports[s].aggregates["awrf:group"] for s in systems]
+                for reports in (degraded, truth)
+            ]
+            for got, want in ((trial.pearson, pearson(*system)), (trial.spearman, spearman(*system))):
+                assert abs(got.coefficient - want.coefficient) <= 1e-12
+                assert abs(got.p_value - want.p_value) <= 1e-12
+            rs = []
+            for q in queries:
+                xs, ys = (
+                    [reports[s].per_query[q]["awrf:group"] for s in systems]
+                    for reports in (degraded, truth)
+                )
+                if len(set(xs)) > 1 and len(set(ys)) > 1:
+                    rs.append(pearson(xs, ys))
+            assert trial.query_count == len(rs)
+            assert trial.query_skipped == len(queries) - len(rs)
+            assert abs(trial.query_r_mean - math.fsum(c.coefficient for c in rs) / len(rs)) <= 1e-12
+            assert abs(trial.query_r_min - min(c.coefficient for c in rs)) <= 1e-12
+            assert abs(trial.query_r_max - max(c.coefficient for c in rs)) <= 1e-12
+            significant = sum(c.p_value < 0.05 for c in rs) / len(rs)
+            assert trial.query_frac_significant == significant
+
+    def test_no_evaluation_queries_rejected(self):
+        bed = generate_testbed(SMALL)
+        with pytest.raises(ConfigError):
+            accuracy_sweep(simulate.Testbed(bed.table, Qrels({}), bed.runset), [1.0], trials=1)
+
+    def test_workers_below_one_rejected(self):
+        bed = generate_testbed(SMALL)
+        for workers in (0, -1):
+            with pytest.raises(ConfigError):
+                accuracy_sweep(bed, [1.0], trials=1, workers=workers)
 
     def test_csv_shapes(self):
         bed = generate_testbed(SMALL)
