@@ -3,15 +3,19 @@
 Commands wire file-based inputs through the library and write report files;
 they perform no computation of their own, so CLI results always match direct
 library calls. Every command is deterministic given its inputs, flags, and
-seed, and a failing command removes any partially written report files.
+seed. Report files are written to temporary files and moved into place
+only once all of them are written, so a failing command leaves the previous
+reports as they were.
 """
 
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Mapping
+from typing import IO, Iterator, Mapping
 
 import click
 
@@ -218,24 +222,32 @@ def _override(cfg: ExperimentConfig, **kwargs) -> ExperimentConfig:
     return replace(cfg, **changes) if changes else cfg
 
 
-def _read_input(path: str | None, role: str) -> str:
+@contextmanager
+def _input(path: str | None, role: str) -> Iterator[IO[str]]:
+    """An input file opened for parsing; read errors become ``ConfigError``."""
     if path is None:
         raise ConfigError(f"no {role} file configured")
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            yield fh
     except OSError as exc:
         raise ConfigError(f"cannot read {role} file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{role} file {path} is not UTF-8 text: {exc.reason}") from None
 
 
 def _load_runset(cfg: ExperimentConfig, paths: tuple[str, ...] | None = None) -> RunSet:
     paths = cfg.runs if paths is None else paths
     if not paths:
         raise ConfigError("no runs file configured")
-    rankings = []
+    parts = []
     for path in paths:
-        rankings.extend(parse_run(_read_input(path, "runs")).rankings())
+        with _input(path, "runs") as fh:
+            parts.append(parse_run(fh))
+    if len(parts) == 1:
+        return parts[0]
     try:
-        return RunSet(rankings)
+        return RunSet.concat(parts)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -243,24 +255,20 @@ def _load_runset(cfg: ExperimentConfig, paths: tuple[str, ...] | None = None) ->
 def _load_table(cfg: ExperimentConfig, path: str | None, provenance: str):
     if not cfg.schemes:
         raise ConfigError("no schemes declared; add a 'schemes' list to the config")
-    return parse_annotations(
-        _read_input(path, "annotations"),
-        cfg.schemes,
-        cfg.annotation_format,
-        provenance=provenance,
-    )
+    with _input(path, "annotations") as fh:
+        return parse_annotations(fh, cfg.schemes, cfg.annotation_format, provenance=provenance)
 
 
 def _load_qrels_if_needed(cfg: ExperimentConfig) -> Qrels | None:
     if cfg.target == "qrels":
-        return parse_qrels(_read_input(cfg.qrels, "qrels"))
+        with _input(cfg.qrels, "qrels") as fh:
+            return parse_qrels(fh)
     return None
 
 
 def _load_explicit_targets(cfg: ExperimentConfig):
-    table = parse_annotations(
-        _read_input(cfg.target, "target"), cfg.schemes, cfg.annotation_format
-    )
+    with _input(cfg.target, "target") as fh:
+        table = parse_annotations(fh, cfg.schemes, cfg.annotation_format)
     targets: dict[str, dict[str, ExposureVector]] = {}
     for name in table.scheme_names:
         scheme = table.scheme(name)
@@ -304,18 +312,20 @@ def _eval_scheme_names(cfg: ExperimentConfig) -> list[str]:
 
 
 def _write_outputs(out_dir: str, files: Mapping[str, str]) -> None:
+    """Write every file to a temporary file in ``out_dir``, then move each
+    into place, so that a failure leaves the previous outputs as they were
+    and no temporary file behind."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
+    staged = {out / f".{name}.{os.getpid()}.tmp": out / name for name in files}
     try:
-        for name, content in files.items():
-            path = out / name
-            path.write_text(content, encoding="utf-8")
-            written.append(path)
-    except BaseException:
-        for path in written:
-            path.unlink(missing_ok=True)
-        raise
+        for tmp, content in zip(staged, files.values()):
+            tmp.write_text(content, encoding="utf-8")
+        for tmp, path in staged.items():
+            os.replace(tmp, path)
+    finally:
+        for tmp in staged:
+            tmp.unlink(missing_ok=True)
 
 
 def _guarded(fn):

@@ -340,51 +340,164 @@ class Ranking:
         return tuple(d for d, _ in self.entries)
 
 
+def _trusted_ranking(
+    query_id: str, entries: tuple[tuple[str, float], ...], system_tag: str
+) -> Ranking:
+    """A Ranking of entries already known to be (str, float) pairs with
+    unique documents, built without the per-entry checks."""
+    ranking = object.__new__(Ranking)
+    object.__setattr__(ranking, "query_id", query_id)
+    object.__setattr__(ranking, "entries", entries)
+    object.__setattr__(ranking, "system_tag", system_tag)
+    return ranking
+
+
 class RunSet:
-    """All rankings of an experiment: system tag -> query id -> Ranking."""
+    """All rankings of an experiment: system tag -> query id -> Ranking.
+
+    Held as columns: ``vocabulary`` lists each document id once, and every
+    (system, query) ranking owns a slice of ``codes`` (indices into the
+    vocabulary) and of ``scores``, in rank order. :meth:`get` and
+    :meth:`rankings` build Ranking objects on demand and memoise them.
+    """
 
     def __init__(self, rankings: Iterable[Ranking]):
-        self._runs: dict[str, dict[str, Ranking]] = {}
+        vocabulary: dict[str, int] = {}
+        codes: list[int] = []
+        scores: list[float] = []
+        spans = []
+        memo: dict[tuple[str, str], Ranking] = {}
         for ranking in rankings:
-            per_system = self._runs.setdefault(ranking.system_tag, {})
-            if ranking.query_id in per_system:
-                raise ValueError(
-                    f"duplicate ranking for ({ranking.system_tag!r}, {ranking.query_id!r})"
-                )
-            per_system[ranking.query_id] = ranking
+            start = len(codes)
+            codes.extend([vocabulary.setdefault(d, len(vocabulary)) for d, _ in ranking.entries])
+            scores.extend([s for _, s in ranking.entries])
+            spans.append((ranking.system_tag, ranking.query_id, start, len(codes)))
+            memo[ranking.system_tag, ranking.query_id] = ranking
+        self._set_columns(list(vocabulary), np.array(codes), np.array(scores), spans)
+        self._memo = memo
+
+    @classmethod
+    def from_columns(
+        cls,
+        vocabulary: Sequence[str],
+        codes: np.ndarray,
+        scores: np.ndarray,
+        spans: Iterable[tuple[str, str, int, int]],
+    ) -> "RunSet":
+        """A run set over columns already in rank order; ``spans`` holds
+        ``(system, query, start, stop)`` per ranking, and the docs of one
+        ranking must be distinct."""
+        runset = cls.__new__(cls)
+        runset._set_columns(vocabulary, codes, scores, spans)
+        return runset
+
+    @classmethod
+    def concat(cls, parts: Sequence["RunSet"]) -> "RunSet":
+        """One run set holding the rankings of several; a (system, query)
+        pair present in more than one part raises ``ValueError``."""
+        vocabulary: dict[str, int] = {}
+        codes, scores, spans = [], [], []
+        offset = 0
+        for part in parts:
+            remap = [vocabulary.setdefault(d, len(vocabulary)) for d in part.vocabulary]
+            codes.append(np.array(remap, dtype=np.intp)[part.codes])
+            scores.append(part.scores)
+            for system_tag in part.systems:
+                for query_id, (start, stop) in sorted(part._spans[system_tag].items()):
+                    spans.append((system_tag, query_id, offset + start, offset + stop))
+            offset += len(part.codes)
+        return cls.from_columns(
+            list(vocabulary), np.concatenate(codes), np.concatenate(scores), spans
+        )
+
+    def _set_columns(self, vocabulary, codes, scores, spans) -> None:
+        self.vocabulary: tuple[str, ...] = tuple(vocabulary)
+        self.codes = np.asarray(codes, dtype=np.intp)
+        self.scores = np.asarray(scores, dtype=np.float64)
+        self.codes.setflags(write=False)
+        self.scores.setflags(write=False)
+        self._spans: dict[str, dict[str, tuple[int, int]]] = {}
+        for system_tag, query_id, start, stop in spans:
+            per_system = self._spans.setdefault(system_tag, {})
+            if query_id in per_system:
+                raise ValueError(f"duplicate ranking for ({system_tag!r}, {query_id!r})")
+            per_system[query_id] = (int(start), int(stop))
+        self._memo = {}
 
     @property
     def systems(self) -> tuple[str, ...]:
-        return tuple(sorted(self._runs))
+        return tuple(sorted(self._spans))
 
     def queries(self, system_tag: str) -> tuple[str, ...]:
-        return tuple(sorted(self._runs[system_tag]))
+        return tuple(sorted(self._spans[system_tag]))
 
     @property
     def all_queries(self) -> tuple[str, ...]:
         seen = set()
-        for per_system in self._runs.values():
+        for per_system in self._spans.values():
             seen.update(per_system)
         return tuple(sorted(seen))
 
+    def span(self, system_tag: str, query_id: str) -> tuple[int, int] | None:
+        """``(start, stop)`` of a ranking in ``codes`` and ``scores``, or None."""
+        return self._spans.get(system_tag, {}).get(query_id)
+
+    def slices(
+        self, systems: Sequence[str], queries: Sequence[str]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Start and length in ``codes`` of every (system, query) ranking,
+        as two (systems, queries) arrays; an absent ranking has length zero."""
+        starts = np.zeros((len(systems), len(queries)), dtype=np.intp)
+        lengths = np.zeros_like(starts)
+        for a, system_tag in enumerate(systems):
+            per_system = self._spans.get(system_tag, {})
+            for b, query_id in enumerate(queries):
+                start, stop = per_system.get(query_id, (0, 0))
+                starts[a, b] = start
+                lengths[a, b] = stop - start
+        return starts, lengths
+
+    def doc_list(self, start: int, stop: int) -> list[str]:
+        """Document ids of ``codes[start:stop]``."""
+        return list(map(self.vocabulary.__getitem__, self.codes[start:stop].tolist()))
+
     def get(self, system_tag: str, query_id: str) -> Ranking | None:
-        return self._runs.get(system_tag, {}).get(query_id)
+        key = (system_tag, query_id)
+        ranking = self._memo.get(key)
+        if ranking is None:
+            span = self.span(system_tag, query_id)
+            if span is None:
+                return None
+            entries = tuple(zip(self.doc_list(*span), self.scores[span[0] : span[1]].tolist()))
+            ranking = self._memo[key] = _trusted_ranking(query_id, entries, system_tag)
+        return ranking
 
     def rankings(self) -> Iterable[Ranking]:
         for system_tag in self.systems:
             for query_id in self.queries(system_tag):
-                yield self._runs[system_tag][query_id]
+                yield self.get(system_tag, query_id)
 
     def __len__(self) -> int:
-        return sum(len(per_system) for per_system in self._runs.values())
+        return sum(len(per_system) for per_system in self._spans.values())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RunSet):
             return NotImplemented
-        return self._runs == other._runs
+        if {s: q.keys() for s, q in self._spans.items()} != {
+            s: q.keys() for s, q in other._spans.items()
+        }:
+            return False
+        for system_tag, per_system in self._spans.items():
+            for query_id, (start, stop) in per_system.items():
+                o_start, o_stop = other._spans[system_tag][query_id]
+                if not np.array_equal(self.scores[start:stop], other.scores[o_start:o_stop]):
+                    return False
+                if self.doc_list(start, stop) != other.doc_list(o_start, o_stop):
+                    return False
+        return True
 
     def __repr__(self) -> str:
-        return f"RunSet(systems={len(self._runs)}, rankings={len(self)})"
+        return f"RunSet(systems={len(self._spans)}, rankings={len(self)})"
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -163,9 +162,6 @@ class CompiledRuns(NamedTuple):
     missing: tuple[int, int, str] | None
 
 
-_doc_id = itemgetter(0)
-
-
 def compile_entries(
     grid: Sequence[Sequence[Sequence[tuple] | None]],
     index: dict[str, int],
@@ -176,26 +172,52 @@ def compile_entries(
     Entries are ``(doc id, value)`` pairs, such as a ranking's entries or
     qrels ``(doc id, grade)`` pairs; ``None`` marks an absent list. Only the
     first ``depth`` positions of each list are kept when ``depth`` is set.
+    The lists are encoded as codes into their own doc vocabulary and
+    compiled by :func:`compile_codes`.
     """
-    n = len(index)
-    lengths = np.array(
-        [[0 if entries is None else len(entries) for entries in row] for row in grid],
-        dtype=np.intp,
-    ).reshape(len(grid), len(grid[0]) if grid else 0)
-    if depth is not None:
-        np.minimum(lengths, depth, out=lengths)
-    rows = np.full(lengths.shape + (max(1, int(lengths.max(initial=0))),), n + 1, dtype=np.intp)
+    vocabulary: dict[str, int] = {}
+    codes: list[int] = []
+    shape = (len(grid), len(grid[0]) if grid else 0)
+    starts = np.zeros(shape, dtype=np.intp)
+    lengths = np.zeros(shape, dtype=np.intp)
     for a, row in enumerate(grid):
         for b, entries in enumerate(row):
-            m = int(lengths[a, b])
-            if m:
-                docs = map(_doc_id, entries[:m])
-                rows[a, b, :m] = np.fromiter(map(index.get, docs, repeat(n)), np.intp, m)
+            if entries is not None:
+                starts[a, b] = len(codes)
+                lengths[a, b] = len(entries)
+                codes.extend([vocabulary.setdefault(d, len(vocabulary)) for d, _ in entries])
+    return compile_codes(
+        list(vocabulary), np.array(codes, dtype=np.intp), starts, lengths, index, depth
+    )
+
+
+def compile_codes(
+    vocabulary: Sequence[str],
+    codes: np.ndarray,
+    starts: np.ndarray,
+    lengths: np.ndarray,
+    index: dict[str, int],
+    depth: int | None = None,
+) -> CompiledRuns:
+    """Compile a grid of lists held as doc codes against a doc index.
+
+    List (a, b) is ``codes[starts[a, b] : starts[a, b] + lengths[a, b]]``,
+    each code an index into ``vocabulary``. The vocabulary is mapped to
+    membership rows once, and the lists' rows are gathered from that map.
+    """
+    n = len(index)
+    rows_of = np.fromiter(map(index.get, vocabulary, repeat(n)), np.intp, len(vocabulary))
+    if depth is not None:
+        lengths = np.minimum(lengths, depth)
+    offsets = np.arange(max(1, int(lengths.max(initial=0))))
+    filled = offsets < lengths[..., None]
+    rows = np.full(filled.shape, n + 1, dtype=np.intp)
+    rows[filled] = rows_of[codes[(starts[..., None] + offsets)[filled]]]
     missing = None
     hits = np.flatnonzero(rows == n)
     if hits.size:
         a, b, pos = (int(i) for i in np.unravel_index(hits[0], rows.shape))
-        missing = (a, b, grid[a][b][pos][0])
+        missing = (a, b, vocabulary[codes[starts[a, b] + pos]])
     return CompiledRuns(rows, lengths, missing)
 
 

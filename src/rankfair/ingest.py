@@ -8,8 +8,12 @@ round-trips with its writer: ``parse(write(x)) == x``.
 
 from __future__ import annotations
 
+import codecs
 import json
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate, chain
 from typing import IO, Iterator, Sequence
 
 import numpy as np
@@ -19,7 +23,6 @@ from .core import (
     GroupScheme,
     MembershipVector,
     Qrels,
-    Ranking,
     RunSet,
     normalize,
 )
@@ -31,23 +34,49 @@ from .errors import (
     NegativeGrade,
     NonNumericRank,
     NonNumericScore,
+    RankfairError,
     UnknownLabel,
     UnknownScheme,
     ZeroMass,
 )
 
 
+#: Characters read from a source at a time.
+_BLOCK = 1 << 20
+
+
+def _chunks(source: str | bytes | IO) -> Iterator[str | bytes]:
+    if isinstance(source, (str, bytes)):
+        for start in range(0, len(source), _BLOCK):
+            yield source[start : start + _BLOCK]
+    else:
+        while chunk := source.read(_BLOCK):
+            yield chunk
+
+
+def _line_blocks(source: str | bytes | IO) -> Iterator[list[str]]:
+    r"""Lines of a string, bytes (UTF-8) or file object, a block at a time.
+
+    Lines are those of ``text.splitlines()`` on the whole text: a block is
+    cut only after a ``\n``, or after a ``\r`` that is not its last
+    character, so no line break is split across two blocks.
+    """
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    carry = ""
+    for chunk in _chunks(source):
+        text = carry + (decoder.decode(chunk) if isinstance(chunk, bytes) else chunk)
+        cut = max(text.rfind("\n"), text.rfind("\r", 0, len(text) - 1)) + 1
+        carry = text[cut:]
+        if cut:
+            yield text[:cut].splitlines()
+    carry += decoder.decode(b"", final=True)
+    if carry:
+        yield carry.splitlines()
+
+
 def _lines(source: str | bytes | IO) -> Iterator[tuple[int, str]]:
     """Yield (1-based line number, text) from a string, bytes, or file object."""
-    if isinstance(source, bytes):
-        text = source.decode("utf-8")
-    elif isinstance(source, str):
-        text = source
-    else:
-        data = source.read()
-        text = data.decode("utf-8") if isinstance(data, bytes) else data
-    for number, line in enumerate(text.splitlines(), start=1):
-        yield number, line
+    return enumerate(chain.from_iterable(_line_blocks(source)), start=1)
 
 
 # --- run files ----------------------------------------------------------------
@@ -59,47 +88,111 @@ def parse_run(source: str | bytes | IO) -> RunSet:
     Fields are separated by runs of spaces or tabs. The second field is
     carried for compatibility and its content is ignored. Entries are
     ordered by the rank field ascending (ties keep input order), regardless
-    of the order lines appear in.
+    of the order lines appear in. The source is read in blocks; doc ids and
+    (tag, qid) keys become integer codes as lines arrive, and duplicates and
+    the rank order are found with array operations at the end. An error
+    names the first faulty line of the file.
     """
-    staged: dict[tuple[str, str], list[tuple[int, int, str, float]]] = {}
-    seen: set[tuple[str, str, str]] = set()
-    for number, line in _lines(source):
-        if not line.strip():
-            continue
-        fields = line.split()
-        if len(fields) != 6:
-            raise MalformedLine(f"expected 6 fields, got {len(fields)}", line=number)
-        qid, _, doc_id, rank_s, score_s, tag = fields
-        try:
-            rank = int(rank_s)
-        except ValueError:
-            raise NonNumericRank(f"rank {rank_s!r}", line=number) from None
-        try:
-            score = float(score_s)
-        except ValueError:
-            raise NonNumericScore(f"score {score_s!r}", line=number) from None
-        key = (tag, qid, doc_id)
-        if key in seen:
-            raise DuplicateDocument(
-                f"doc {doc_id!r} repeated for ({tag!r}, {qid!r})", line=number
-            )
-        seen.add(key)
-        staged.setdefault((tag, qid), []).append((rank, number, doc_id, score))
-    rankings = []
-    for (tag, qid), rows in staged.items():
-        rows.sort(key=lambda r: (r[0], r[1]))
-        rankings.append(Ranking(qid, tuple((d, s) for _, _, d, s in rows), tag))
-    return RunSet(rankings)
+    docs: dict[str, int] = {}
+    keys: dict[tuple[str, str], int] = {}
+    doc_codes, key_codes, scores = array("q"), array("q"), array("d")
+    ranks: array | list[int] = array("q")
+    add_doc, add_key, add_score, add_rank = (
+        doc_codes.append, key_codes.append, scores.append, ranks.append
+    )
+    blanks: list[int] = []  # entries read before each blank line
+    last_tag = last_qid = None
+    key = -1
+    number = 0
+    try:
+        for lines in _line_blocks(source):
+            for line in lines:
+                number += 1
+                fields = line.split()
+                if len(fields) != 6:
+                    if not fields:
+                        blanks.append(len(scores))
+                        continue
+                    raise MalformedLine(f"expected 6 fields, got {len(fields)}", line=number)
+                qid, _, doc_id, rank_s, score_s, tag = fields
+                try:
+                    rank = int(rank_s)
+                except ValueError:
+                    raise NonNumericRank(f"rank {rank_s!r}", line=number) from None
+                try:
+                    score = float(score_s)
+                except ValueError:
+                    raise NonNumericScore(f"score {score_s!r}", line=number) from None
+                if qid != last_qid or tag != last_tag:
+                    key = keys.setdefault((tag, qid), len(keys))
+                    last_tag, last_qid = tag, qid
+                code = docs.get(doc_id)
+                if code is None:
+                    code = docs[doc_id] = len(docs)
+                try:
+                    add_rank(rank)
+                except OverflowError:  # beyond int64: keep Python ints from here on
+                    ranks = list(ranks)
+                    add_rank = ranks.append
+                    add_rank(rank)
+                add_doc(code)
+                add_key(key)
+                add_score(score)
+    except RankfairError:
+        _raise_first_duplicate(doc_codes, key_codes, docs, keys, blanks)
+        raise
+    _raise_first_duplicate(doc_codes, key_codes, docs, keys, blanks)
+    key_codes = np.frombuffer(key_codes, dtype=np.int64)
+    if isinstance(ranks, list):  # order-preserving small stand-ins for huge ranks
+        dense = {rank: i for i, rank in enumerate(sorted(set(ranks)))}
+        ranks = array("q", map(dense.__getitem__, ranks))
+    order = np.lexsort((np.frombuffer(ranks, dtype=np.int64), key_codes))
+    counts = np.bincount(key_codes, minlength=len(keys)).tolist()
+    spans = [
+        (tag, qid, stop - count, stop)
+        for (tag, qid), count, stop in zip(keys, counts, accumulate(counts))
+    ]
+    return RunSet.from_columns(
+        list(docs),
+        np.frombuffer(doc_codes, dtype=np.int64)[order],
+        np.frombuffer(scores, dtype=np.float64)[order],
+        spans,
+    )
+
+
+def _raise_first_duplicate(
+    doc_codes: array, key_codes: array, docs: dict, keys: dict, blanks: list[int]
+) -> None:
+    """Raise ``DuplicateDocument`` for the first entry, in file order, that
+    repeats an earlier entry's (tag, qid, doc)."""
+    pairs = np.frombuffer(key_codes, dtype=np.int64) * max(1, len(docs))
+    pairs += np.frombuffer(doc_codes, dtype=np.int64)
+    _, first = np.unique(pairs, return_index=True)
+    if len(first) == len(pairs):
+        return
+    repeat = np.ones(len(pairs), dtype=bool)
+    repeat[first] = False
+    entry = int(np.argmax(repeat))
+    doc_id = list(docs)[doc_codes[entry]]
+    tag, qid = list(keys)[key_codes[entry]]
+    raise DuplicateDocument(
+        f"doc {doc_id!r} repeated for ({tag!r}, {qid!r})",
+        line=entry + 1 + bisect_right(blanks, entry),
+    )
 
 
 def write_run(runset: RunSet) -> str:
     """Serialize a RunSet; systems and queries sorted, ranks renumbered 1..n."""
     out = []
-    for ranking in runset.rankings():
-        for position, (doc_id, score) in enumerate(ranking.entries, start=1):
-            out.append(
-                f"{ranking.query_id} Q0 {doc_id} {position} {score!r} {ranking.system_tag}\n"
-            )
+    for system_tag in runset.systems:
+        for query_id in runset.queries(system_tag):
+            start, stop = runset.span(system_tag, query_id)
+            entries = zip(runset.doc_list(start, stop), runset.scores[start:stop].tolist())
+            lines = [
+                f"{query_id} Q0 {doc_id} {position} {score!r} {system_tag}\n"
+                for position, (doc_id, score) in enumerate(entries, start=1)
+            ]
+            out.append("".join(lines))
     return "".join(out)
 
 

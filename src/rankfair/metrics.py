@@ -28,7 +28,7 @@ from .exposure import (
     ExposureVector,
     QrelsTargets,
     attention_weights,
-    compile_entries,
+    compile_codes,
     compile_table,
     member_rows,
     normalized_masses,
@@ -312,7 +312,9 @@ class CompiledEvaluation:
     Every system's ranking of every evaluation query, and each query's
     relevant documents, are held as rows of the scheme's membership matrix,
     so :meth:`scores` costs one gather and contraction for any membership
-    matrix over the same doc index, such as a corrupted copy of it.
+    matrix over the same doc index, such as a corrupted copy of it. The
+    rankings are compiled from the run set's doc codes: its vocabulary is
+    mapped to rows once, not every ranked position.
     """
 
     def __init__(
@@ -336,8 +338,10 @@ class CompiledEvaluation:
         else:
             fixed = [_fixed_target(scheme, q, config).masses for q in self.queries]
             self.targets = np.array(fixed, dtype=np.float64).reshape(len(fixed), scheme.k)
-        grid = [[_entries(runset.get(s, q)) for q in self.queries] for s in self.systems]
-        self.runs = compile_entries(grid, index, config.attention.cutoff)
+        starts, lengths = runset.slices(self.systems, self.queries)
+        self.runs = compile_codes(
+            runset.vocabulary, runset.codes, starts, lengths, index, config.attention.cutoff
+        )
 
     @property
     def compiled(self) -> tuple[CompiledRuns, ...]:
@@ -358,10 +362,6 @@ class CompiledEvaluation:
             config.divergence, config.epsilon,
         )
         return 1.0 - values / LN2 if config.complement else values
-
-
-def _entries(ranking: Ranking | None):
-    return None if ranking is None else ranking.entries
 
 
 def _reject_first_missing(evaluations: Sequence[CompiledEvaluation]) -> None:

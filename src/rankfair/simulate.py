@@ -23,7 +23,6 @@ from .core import (
     GroupScheme,
     MembershipVector,
     Qrels,
-    Ranking,
     RunSet,
     one_hot,
 )
@@ -229,17 +228,20 @@ def generate_testbed(config: TestbedConfig) -> Testbed:
         ]
     else:
         lambdas = [0.0]
+    hots = [one_hot(scheme, g) for g in range(k)]
     vectors: dict[str, MembershipVector] = {}
     judgments: dict[str, dict[str, int]] = {}
-    rankings: list[Ranking] = []
+    vocabulary: list[str] = []
+    codes: list[np.ndarray] = []
+    spans: list[tuple[str, str, int, int]] = []
+    n = config.docs_per_query
     for qi in range(config.n_queries):
         qid = f"q{qi:03d}"
-        n = config.docs_per_query
         doc_ids = [f"{qid}_d{di:04d}" for di in range(n)]
         groups = rng.integers(0, k, size=n)
         grades = rng.choice(len(config.grade_probs), size=n, p=config.grade_probs)
-        for doc_id, g in zip(doc_ids, groups):
-            vectors[doc_id] = one_hot(scheme, int(g))
+        for doc_id, g in zip(doc_ids, groups.tolist()):
+            vectors[doc_id] = hots[g]
         judgments[qid] = {doc_id: int(g) for doc_id, g in zip(doc_ids, grades)}
 
         perm = rng.permutation(n)
@@ -269,12 +271,14 @@ def generate_testbed(config: TestbedConfig) -> Testbed:
         for s, lam in enumerate(lambdas):
             keys = (1.0 - lam) * pos_balanced + lam * pos_skewed
             order = np.argsort(keys, kind="stable")
-            entries = tuple(
-                (doc_ids[int(j)], float(n - rank)) for rank, j in enumerate(order)
-            )
-            rankings.append(Ranking(qid, entries, f"sys{s:02d}"))
+            start = len(codes) * n
+            codes.append(len(vocabulary) + order)
+            spans.append((f"sys{s:02d}", qid, start, start + n))
+        vocabulary.extend(doc_ids)
+    scores = np.tile(np.arange(n, 0, -1, dtype=np.float64), len(codes))
+    runset = RunSet.from_columns(vocabulary, np.concatenate(codes), scores, spans)
     table = GroupMembershipTable([scheme], {scheme.name: vectors}, provenance="synthetic")
-    return Testbed(table, Qrels(judgments), RunSet(rankings))
+    return Testbed(table, Qrels(judgments), runset)
 
 
 # --- accuracy sweeps ---------------------------------------------------------------------

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import stats as sp_stats
+from scipy.special import stdtr
 
 from .errors import (
     ConfigError,
@@ -75,7 +75,7 @@ def _t_p_value(r: float, n: int) -> float:
         return 0.0
     df = n - 2
     t = abs(r) * math.sqrt(df / (1.0 - r * r))
-    return float(min(1.0, max(0.0, 2.0 * sp_stats.t.sf(t, df))))
+    return float(min(1.0, max(0.0, 2.0 * stdtr(df, -t))))
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:

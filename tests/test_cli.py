@@ -1,9 +1,12 @@
+import hashlib
 import json
+import os
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from rankfair.cli import main
+from rankfair.cli import _write_outputs, main
 from rankfair.ingest import parse_annotations, parse_qrels, parse_run
 from rankfair.core import GroupScheme
 
@@ -291,6 +294,111 @@ class TestGenTestbed:
         assert len(runset.systems) == 4
         assert len(qrels) == 3
         assert len(table.docs(scheme.name)) == 60
+
+    def test_files_unchanged(self, tmp_path):
+        # sha256 of the files this command wrote when every ranking was held
+        # as a tuple of (doc, score) pairs; the columnar run set must not
+        # change a byte of them
+        want = {
+            "annotations.tsv": "984af53cfa43425e85e68d3f3557a405f90edc0e8171d3d18a68567dad321a0b",
+            "qrels.txt": "2c6299a34dbe0bd30c46582a4f239dc9d019afd7da54dcf6bc56c00fbe0ae4ff",
+            "runs.txt": "0c4600b8fe00f0e2829b71bbab4bdc3262c96de126dceb12eef1ca9c332ea980",
+            "scheme.json": "b3289828c38136c8890d684c470c578d8a7e8b7beab3eeaf0365072665ed9654",
+        }
+        result = invoke(
+            "gen-testbed", "--queries", "3", "--docs", "20", "--groups", "3",
+            "--systems", "4", "--seed", "7", "--out", str(tmp_path / "out"),
+        )
+        assert result.exit_code == 0
+        got = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in (tmp_path / "out").iterdir()
+        }
+        assert got == want
+
+
+class TestRunsFiles:
+    def _split(self, tmp_path):
+        lines = RUNS.splitlines(keepends=True)
+        first = tmp_path / "runs_ab.txt"
+        second = tmp_path / "runs_c.txt"
+        first.write_text("".join(line for line in lines if not line.endswith("sysC\n")))
+        second.write_text("".join(line for line in lines if line.endswith("sysC\n")))
+        return first, second
+
+    def test_several_files_score_as_one(self, workspace, tmp_path):
+        _, config_path, _ = workspace
+        assert invoke("evaluate", "--config", str(config_path)).exit_code == 0
+        whole = read_out(tmp_path, "metrics.csv")
+        first, second = self._split(tmp_path)
+        result = invoke(
+            "evaluate", "--config", str(config_path), "--runs", str(first), "--runs", str(second)
+        )
+        assert result.exit_code == 0
+        assert read_out(tmp_path, "metrics.csv") == whole
+
+    def test_ranking_in_two_files_is_a_config_error(self, workspace, tmp_path):
+        _, config_path, _ = workspace
+        first, _ = self._split(tmp_path)
+        runner = CliRunner()
+        result = runner.invoke(
+            main, ["evaluate", "--config", str(config_path), "--runs", str(first),
+                   "--runs", str(tmp_path / "runs.txt")],
+        )
+        assert result.exit_code == 1
+        assert "ConfigError: duplicate ranking for ('sysA', 'q1')" in result.output
+
+    def test_non_utf8_runs_file_is_a_config_error(self, workspace, tmp_path):
+        _, config_path, _ = workspace
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes("q1 Q0 d\xe9 1 1.0 sysA\n".encode("latin-1"))
+        result = CliRunner().invoke(
+            main, ["evaluate", "--config", str(config_path), "--runs", str(bad)]
+        )
+        assert result.exit_code == 1
+        assert "ConfigError" in result.output and "latin1.txt" in result.output
+
+
+class TestAtomicOutputs:
+    def _fail_on_call(self, monkeypatch, target, name, call):
+        real = getattr(target, name)
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == call:
+                raise OSError(28, "No space left on device")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(target, name, failing)
+
+    def test_failed_write_keeps_previous_files(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        _write_outputs(str(out), {"a.csv": "old a\n", "b.csv": "old b\n"})
+        self._fail_on_call(monkeypatch, Path, "write_text", 2)
+        with pytest.raises(OSError):
+            _write_outputs(str(out), {"a.csv": "new a\n", "b.csv": "new b\n", "c.csv": "c\n"})
+        assert sorted(p.name for p in out.iterdir()) == ["a.csv", "b.csv"]
+        assert (out / "a.csv").read_text() == "old a\n"
+        assert (out / "b.csv").read_text() == "old b\n"
+
+    def test_failed_move_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        _write_outputs(str(out), {"a.csv": "old a\n", "b.csv": "old b\n"})
+        self._fail_on_call(monkeypatch, os, "replace", 2)
+        with pytest.raises(OSError):
+            _write_outputs(str(out), {"a.csv": "new a\n", "b.csv": "new b\n"})
+        assert sorted(p.name for p in out.iterdir()) == ["a.csv", "b.csv"]
+        assert (out / "b.csv").read_text() == "old b\n"
+
+    def test_command_failing_after_a_run_keeps_its_reports(self, workspace, tmp_path):
+        _, config_path, config = workspace
+        assert invoke("evaluate", "--config", str(config_path)).exit_code == 0
+        before = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+        (tmp_path / "runs.txt").write_text(RUNS + "q9 Q0 broken\n")
+        result = CliRunner().invoke(main, ["evaluate", "--config", str(config_path)])
+        assert result.exit_code == 1
+        assert {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()} == before
 
 
 class TestCost:

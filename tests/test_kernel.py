@@ -342,3 +342,33 @@ def test_reject_names_the_doc_a_query_by_query_pass_meets_first():
     want = outcome(oracle_evaluate, runset, qrels, table, ["a", "b"], config)
     assert want == "MissingDocument: doc 'd0' has no membership for scheme 'b'"
     assert outcome(evaluate_runset, runset, qrels, table, ["a", "b"], config) == want
+
+
+def test_parsed_run_set_scores_as_the_built_one():
+    # the same rankings, built as Ranking objects and parsed from text (a
+    # different doc vocabulary order), under a cutoff with missing docs
+    from rankfair.ingest import parse_run, write_run
+
+    g = scheme_of("g", 3)
+    def entries(s, q, n):
+        return tuple((f"d{(i * 7 + s + int(q[1])) % 13}", float(-i)) for i in range(n))
+
+    rankings = [
+        Ranking(q, entries(s, q, n), f"s{s}")
+        for s in range(3)
+        for q, n in (("q0", 9), ("q1", 4), ("q2", 12))
+        if (s, q) != (1, "q1")
+    ]
+    built = RunSet(rankings)
+    parsed = parse_run("".join(reversed(write_run(built).splitlines(keepends=True))))
+    assert parsed == built and parsed.vocabulary != built.vocabulary
+    table = GroupMembershipTable([g], {"g": {f"d{i}": one_hot(g, i % 3) for i in range(0, 13, 2)}})
+    qrels = Qrels({"q0": {"d0": 1, "d3": 2}, "q1": {"d2": 1}, "q2": {"d4": 1}})
+    config = MetricConfig(attention=AttentionModel.geometric(0.3, cutoff=5))
+    queries, want = oracle_evaluate(built, qrels, table, ["g"], config)
+    assert queries == ["q0", "q1", "q2"]
+    for runset in (built, parsed):
+        got = evaluate_runset(runset, qrels, table, ["g"], config)
+        assert got["s1"].missing_queries == ("q1",)
+        for (system, q, metric), value in want.items():
+            assert abs(got[system].per_query[q][metric] - value) <= TOL

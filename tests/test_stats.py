@@ -122,6 +122,38 @@ def pearson_p(r, n):
     return _t_p_value(r, n)
 
 
+def test_t_p_value_bit_identical_to_scipy_stats():
+    from scipy import stats as sp_stats
+
+    from rankfair.stats import _t_p_value
+
+    rng = np.random.default_rng(83)
+    sizes = np.concatenate([np.arange(3, 60), rng.integers(60, 50000, size=200)])
+    for n in sizes.tolist():
+        for r in rng.uniform(-1.0, 1.0, size=20).tolist() + [0.0, 0.999999, -0.5]:
+            df = n - 2
+            t = abs(r) * math.sqrt(df / (1.0 - r * r))
+            want = float(min(1.0, max(0.0, 2.0 * sp_stats.t.sf(t, df))))
+            assert _t_p_value(r, n) == want, (r, n)
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import rankfair
+
+    src = str(Path(rankfair.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, rankfair.cli; print('scipy.stats' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert result.stdout.strip() == "False"
+
+
 class TestSpearman:
     def test_reversed_is_minus_one(self):
         x = [1.0, 2.0, 3.0, 4.0]
