@@ -100,6 +100,16 @@ class ExperimentConfig:
     confusion_style: str = "uniform"
 
 
+@contextmanager
+def _config_errors(name: str) -> Iterator[None]:
+    """Re-raise a ``ValueError`` from building a config object as a
+    ``ConfigError`` that names the flag or config key it came from."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
+
+
 def _scheme_from_obj(obj: Mapping) -> GroupScheme:
     try:
         name = obj["name"]
@@ -115,7 +125,8 @@ def _scheme_from_obj(obj: Mapping) -> GroupScheme:
         if unknown not in groups:
             raise ConfigError(f"unknown label {unknown!r} not in scheme {name!r}")
         index = groups.index(unknown)
-    return GroupScheme(name, groups, index)
+    with _config_errors(f"config key 'schemes', scheme {name!r}"):
+        return GroupScheme(name, groups, index)
 
 
 def _attention_from_obj(obj: Mapping) -> AttentionModel:
@@ -153,15 +164,16 @@ def _testbed_from_obj(obj: Mapping, default_seed: int) -> TestbedConfig:
     extra = set(obj) - _TESTBED_KEYS
     if extra:
         raise ConfigError(f"unknown testbed keys: {sorted(extra)}")
-    return TestbedConfig(
-        n_queries=int(obj.get("queries", 50)),
-        docs_per_query=int(obj.get("docs_per_query", 1000)),
-        n_groups=int(obj.get("groups", 4)),
-        n_systems=int(obj.get("systems", 30)),
-        spread=float(obj.get("spread", 1.0)),
-        grade_probs=tuple(obj.get("grade_probs", (0.7, 0.2, 0.1))),
-        seed=int(obj.get("seed", default_seed)),
-    )
+    with _config_errors("config key 'testbed'"):
+        return TestbedConfig(
+            n_queries=int(obj.get("queries", 50)),
+            docs_per_query=int(obj.get("docs_per_query", 1000)),
+            n_groups=int(obj.get("groups", 4)),
+            n_systems=int(obj.get("systems", 30)),
+            spread=float(obj.get("spread", 1.0)),
+            grade_probs=tuple(obj.get("grade_probs", (0.7, 0.2, 0.1))),
+            seed=int(obj.get("seed", default_seed)),
+        )
 
 
 def load_config(path: str | None) -> ExperimentConfig:
@@ -546,13 +558,14 @@ def sample(config_path, seed, out, annotations, scheme_name, train_n, test_n):
 
     def body():
         cfg = _effective_config(config_path, seed, out, annotations=annotations)
-        table = _load_table(cfg, cfg.annotations, "human")
         name = scheme_name or (cfg.eval_schemes[0] if cfg.eval_schemes else None)
         if name is None:
             if len(cfg.schemes) != 1:
                 raise ConfigError("pass --scheme to pick the sampling scheme")
             name = cfg.schemes[0].name
-        plan = SamplePlan(name, train_n, test_n, seed=cfg.seed)
+        with _config_errors("--train or --test"):
+            plan = SamplePlan(name, train_n, test_n, seed=cfg.seed)
+        table = _load_table(cfg, cfg.annotations, "human")
         train, test = stratified_sample(table, plan)
         _write_outputs(
             cfg.out,
@@ -582,19 +595,22 @@ def gen_testbed(config_path, seed, out, queries, docs, groups, systems, spread, 
     def body():
         cfg = _effective_config(config_path, seed, out)
         base = cfg.testbed or TestbedConfig(seed=cfg.seed)
-        flags = {
-            "n_queries": queries,
-            "docs_per_query": docs,
-            "n_groups": groups,
-            "n_systems": systems,
-            "spread": spread,
-            "seed": seed,
-        }
-        if grade_probs is not None:
-            flags["grade_probs"] = tuple(float(p) for p in grade_probs.split(","))
-        changes = {k: v for k, v in flags.items() if v is not None}
-        if changes:
-            base = replace(base, **changes)
+        flags = (
+            ("--queries", "n_queries", queries),
+            ("--docs", "docs_per_query", docs),
+            ("--groups", "n_groups", groups),
+            ("--systems", "n_systems", systems),
+            ("--spread", "spread", spread),
+            ("--grade-probs", "grade_probs", grade_probs),
+            ("--seed", "seed", seed),
+        )
+        # one field at a time, so that an error names the flag that caused it
+        for flag, field, value in flags:
+            if value is not None:
+                with _config_errors(flag):
+                    if field == "grade_probs":
+                        value = tuple(float(p) for p in value.split(","))
+                    base = replace(base, **{field: value})
         testbed = generate_testbed(base)
         scheme = testbed.table.scheme(testbed.scheme_name)
         scheme_obj = {"name": scheme.name, "groups": list(scheme.groups), "unknown": None}
@@ -640,8 +656,9 @@ def cost(n_docs, model, tokens, rate, fixed, as_json):
             rate_value = rate
             fixed_value = 0.0 if fixed is None else fixed
         tokens_value = rates["tokens_per_doc"] if tokens is None else tokens
-        variable = annotation_cost(n_docs, tokens_value, rate_value, 0.0)
-        total = annotation_cost(n_docs, tokens_value, rate_value, fixed_value)
+        with _config_errors("--docs, --tokens, --rate or --fixed"):
+            variable = annotation_cost(n_docs, tokens_value, rate_value, 0.0)
+            total = annotation_cost(n_docs, tokens_value, rate_value, fixed_value)
         if as_json:
             click.echo(
                 json.dumps(

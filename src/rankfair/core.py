@@ -9,6 +9,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -85,6 +86,8 @@ class MembershipVector:
                 f"expected {self.scheme.k} weights for scheme {self.scheme.name!r}, "
                 f"got {len(self.weights)}"
             )
+        if not all(map(math.isfinite, self.weights)):
+            raise ValueError("membership weights must be finite")
         if any(w < 0 for w in self.weights):
             raise ValueError("membership weights must be non-negative")
         if abs(math.fsum(self.weights) - 1.0) > SUM_TOL:
@@ -122,6 +125,8 @@ def normalize(weights: Sequence[float], scheme: GroupScheme) -> MembershipVector
         raise LengthMismatch(
             f"expected {scheme.k} weights for scheme {scheme.name!r}, got {len(weights)}"
         )
+    if not all(map(math.isfinite, weights)):
+        raise ValueError("weights must be finite")
     if any(w < 0 for w in weights):
         raise ValueError("weights must be non-negative")
     total = math.fsum(weights)
@@ -211,11 +216,11 @@ class GroupMembershipTable:
         must not modify it.
         """
         if scheme_name not in self._matrices:
-            scheme = self.scheme(scheme_name)
-            ids = sorted(self._vectors[scheme_name])
-            m = np.empty((len(ids), scheme.k), dtype=np.float64)
-            for row, doc_id in enumerate(ids):
-                m[row, :] = self._vectors[scheme_name][doc_id].weights
+            k = self.scheme(scheme_name).k
+            vectors = self._vectors[scheme_name]
+            ids = sorted(vectors)
+            weights = chain.from_iterable(vectors[d].weights for d in ids)
+            m = np.fromiter(weights, dtype=np.float64, count=len(ids) * k).reshape(len(ids), k)
             m.setflags(write=False)
             self._matrices[scheme_name] = ({d: i for i, d in enumerate(ids)}, m)
         return self._matrices[scheme_name]

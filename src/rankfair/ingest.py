@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import codecs
 import json
+import math
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -255,6 +256,8 @@ def _record_to_vector(
             raise UnknownLabel(
                 f"label {label!r} not in scheme {record.scheme!r}", line=line
             )
+        if not math.isfinite(weight):
+            raise MalformedLine(f"weight {weight!r} for label {label!r} is not finite", line=line)
         if weight < 0:
             raise MalformedLine(f"negative weight for label {label!r}", line=line)
         raw[scheme.groups.index(label)] = weight
@@ -264,11 +267,7 @@ def _record_to_vector(
         raise ZeroMass(f"all-zero weights for doc {record.doc_id!r}", line=line) from None
 
 
-def _parse_tsv_record(line: str, number: int) -> AnnotationRecord:
-    fields = line.split("\t")
-    if len(fields) != 3:
-        raise MalformedLine(f"expected 3 tab-separated fields, got {len(fields)}", line=number)
-    doc_id, scheme, weight_spec = fields
+def _parse_weight_spec(weight_spec: str, number: int) -> tuple[tuple[str, float], ...]:
     weights = []
     for part in weight_spec.split(","):
         label, sep, weight_s = part.rpartition(":")
@@ -279,7 +278,7 @@ def _parse_tsv_record(line: str, number: int) -> AnnotationRecord:
         except ValueError:
             raise MalformedLine(f"weight {weight_s!r} is not a number", line=number) from None
         weights.append((label, weight))
-    return AnnotationRecord(doc_id, scheme, tuple(weights))
+    return tuple(weights)
 
 
 def _parse_jsonl_record(line: str, number: int) -> AnnotationRecord:
@@ -310,24 +309,40 @@ def parse_annotations(
 
     TSV rows are ``<docid>\\t<scheme>\\t<label>:<weight>[,<label>:<weight>...]``;
     JSONL rows are ``{"doc": ..., "scheme": ..., "weights": {label: weight}}``.
-    Weights are normalized per document; labels not listed get weight zero.
+    Weights must be finite; they are normalized per document, and labels not
+    listed get weight zero. TSV rows with the same scheme and weight text
+    share one immutable vector, built and checked the first time that text
+    is seen; a text is remembered only once it has passed its checks.
     """
     if format not in ("tsv", "jsonl"):
         raise ValueError(f"unknown annotation format {format!r}")
     by_name = {s.name: s for s in schemes}
-    parse_record = _parse_tsv_record if format == "tsv" else _parse_jsonl_record
     vectors: dict[str, dict[str, MembershipVector]] = {n: {} for n in by_name}
+    seen: dict[tuple[str, str], MembershipVector] = {}
     for number, line in _lines(source):
         if not line.strip():
             continue
-        record = parse_record(line, number)
-        vector = _record_to_vector(record, by_name, number)
-        per_scheme = vectors[record.scheme]
-        if record.doc_id in per_scheme:
+        if format == "tsv":
+            fields = line.split("\t")
+            if len(fields) != 3:
+                raise MalformedLine(
+                    f"expected 3 tab-separated fields, got {len(fields)}", line=number
+                )
+            doc_id, scheme, weight_spec = fields
+            vector = seen.get((scheme, weight_spec))
+            if vector is None:
+                record = AnnotationRecord(doc_id, scheme, _parse_weight_spec(weight_spec, number))
+                vector = seen[scheme, weight_spec] = _record_to_vector(record, by_name, number)
+        else:
+            record = _parse_jsonl_record(line, number)
+            doc_id, scheme = record.doc_id, record.scheme
+            vector = _record_to_vector(record, by_name, number)
+        per_scheme = vectors[scheme]
+        if doc_id in per_scheme:
             raise DuplicateDocument(
-                f"doc {record.doc_id!r} repeated for scheme {record.scheme!r}", line=number
+                f"doc {doc_id!r} repeated for scheme {scheme!r}", line=number
             )
-        per_scheme[record.doc_id] = vector
+        per_scheme[doc_id] = vector
     return GroupMembershipTable(schemes, vectors, provenance=provenance)
 
 

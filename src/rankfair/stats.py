@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import stdtr
 
 from .errors import (
     ConfigError,
@@ -71,6 +70,8 @@ def _pearson_r(x: np.ndarray, y: np.ndarray) -> float:
 
 def _t_p_value(r: float, n: int) -> float:
     """Two-sided p-value for r under the t approximation with n-2 df."""
+    from scipy.special import stdtr  # imported here: it costs most of the CLI's start-up
+
     if abs(r) >= 1.0:
         return 0.0
     df = n - 2

@@ -183,6 +183,17 @@ class TestCompare:
         assert result.exit_code == 1
         assert "SystemSetMismatch" in result.output
 
+    def test_non_finite_weight_is_one_error_line(self, workspace):
+        tmp_path, config_path, _ = workspace
+        (tmp_path / "model.tsv").write_text(MODEL.replace("d2\tpair\tg1:1.0", "d2\tpair\tg1:inf"))
+        result = CliRunner().invoke(main, ["compare", "--config", str(config_path)])
+        assert result.exit_code == 1
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1, result.output
+        assert lines[0].startswith("Error: MalformedLine: line 2: ")
+        assert "'g1'" in lines[0] and "not finite" in lines[0]
+        assert not (tmp_path / "out").exists()
+
     def test_rerun_byte_identical(self, workspace):
         tmp_path, config_path, _ = workspace
         invoke("compare", "--config", str(config_path))
@@ -437,6 +448,11 @@ BAD_INPUTS = [
     (["sweep"], {"sweep": {"trials": 0}}, "'sweep.trials'"),
     (["sweep"], {"sweep": {"workers": -1}}, "'sweep.workers'"),
     (["sweep"], {"sweep": {"levels": [0.5, "x"]}}, "'sweep.levels'"),
+    (["gen-testbed", "--groups", "1"], {}, "--groups"),
+    (["gen-testbed", "--queries", "0"], {}, "--queries"),
+    (["evaluate"], {"schemes": [{"name": "pair", "groups": ["g0", "g0"]}]}, "'schemes'"),
+    (["sample", "--train", "-1"], {}, "--train"),
+    (["cost", "--docs", "-5"], {}, "--docs"),
 ]
 
 
@@ -450,7 +466,8 @@ def test_bad_input_is_one_named_error_line(tmp_path, args, changes, name):
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
-    result = CliRunner().invoke(main, [*args, "--config", str(path)])
+    config_flag = [] if args[0] == "cost" else ["--config", str(path)]
+    result = CliRunner().invoke(main, [*args, *config_flag])
     assert result.exit_code == 1
     lines = result.output.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("Error: ConfigError: "), result.output

@@ -75,6 +75,13 @@ class TestNormalize:
         with pytest.raises(ValueError):
             normalize([1, -1], GEO)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            normalize([bad, 1.0], GEO)
+        with pytest.raises(ValueError, match="finite"):
+            MembershipVector(GEO, (bad, 0.0))
+
     def test_idempotent_bitwise(self):
         # re-normalizing an already normalized vector must not move any bits,
         # otherwise serializer round-trips would drift
@@ -242,3 +249,17 @@ class TestTableEquality:
         index, m = table.matrix("geo")
         assert index == {"d1": 0, "d2": 1}
         np.testing.assert_array_equal(m, [[1.0, 0.0], [0.0, 1.0]])
+
+    def test_matrix_of_empty_scheme(self):
+        index, m = GroupMembershipTable([GENDER]).matrix("gender")
+        assert index == {} and m.shape == (0, 4) and m.dtype == np.float64
+        assert not m.flags.writeable
+
+    def test_matrix_rows_bit_identical_to_vectors(self):
+        soft = normalize([0.3, 0.7], GEO)
+        signed = MembershipVector(GEO, (-0.0, 1.0))
+        table = GroupMembershipTable([GEO], {"geo": {"b": soft, "a": signed, "c": soft}})
+        index, m = table.matrix("geo")
+        for doc_id, row in index.items():
+            want = table.get("geo", doc_id).weights
+            assert [w.hex() for w in m[row].tolist()] == [w.hex() for w in want]

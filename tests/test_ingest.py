@@ -156,6 +156,26 @@ class TestParseAnnotations:
         with pytest.raises(MalformedLine):
             parse_annotations("d3\tgender\tmale:lots\n", [GENDER])
 
+    @pytest.mark.parametrize("weight", ["inf", "nan", "-inf", "Infinity", "1e999"])
+    def test_non_finite_tsv_weight(self, weight):
+        text = f"d1\tgender\tmale:1\nd2\tgender\tfemale:{weight}\n"
+        with pytest.raises(MalformedLine, match="'female' is not finite") as err:
+            parse_annotations(text, [GENDER])
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize("weight", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_jsonl_weight(self, weight):
+        line = f'{{"doc": "d1", "scheme": "gender", "weights": {{"male": {weight}}}}}\n'
+        with pytest.raises(MalformedLine, match="'male' is not finite") as err:
+            parse_annotations(line, [GENDER], format="jsonl")
+        assert err.value.line == 1
+
+    def test_same_weight_text_shares_one_vector(self):
+        text = "d1\tgender\tmale:1\nd2\tgender\tmale:1\nd3\tgender\tmale:1.0\n"
+        table = parse_annotations(text, [GENDER])
+        assert table.get("gender", "d1") is table.get("gender", "d2")
+        assert table.get("gender", "d3") == table.get("gender", "d1")
+
     def test_duplicate_row(self):
         text = "d1\tgender\tmale:1\nd1\tgender\tfemale:1\n"
         with pytest.raises(DuplicateDocument) as err:

@@ -147,11 +147,15 @@ def test_cli_import_leaves_scipy_stats_unloaded():
 
     src = str(Path(rankfair.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, rankfair.cli; print('scipy.stats' in sys.modules)"
+    code = (
+        "import sys, rankfair.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
-    assert result.stdout.strip() == "False"
+    # neither scipy.stats nor scipy.special: only the p-value imports stdtr
+    assert result.stdout.strip() == "[]"
 
 
 class TestSpearman:
