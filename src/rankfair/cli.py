@@ -142,12 +142,25 @@ def _attention_from_obj(obj: Mapping) -> AttentionModel:
         raise ConfigError(f"config key 'attention': {exc}") from None
 
 
+def _integer(value, name: str) -> int:
+    """A flag or config value that must be an integer."""
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _number(value, name: str) -> float:
+    """A config value that must be a number."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+
+
 def _count(value, name: str) -> int:
     """A flag or config value that must be an integer of at least 1."""
-    try:
-        count = int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+    count = _integer(value, name)
     if count < 1:
         raise ConfigError(f"{name} must be at least 1, got {count}")
     return count
@@ -156,23 +169,29 @@ def _count(value, name: str) -> int:
 def _levels(values, name: str) -> tuple[float, ...]:
     try:
         return tuple(float(v) for v in values)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{name} must be a list of numbers, got {values!r}") from None
 
 
-def _testbed_from_obj(obj: Mapping, default_seed: int) -> TestbedConfig:
+def _testbed_from_obj(obj, default_seed: int) -> TestbedConfig:
+    if not isinstance(obj, Mapping):
+        raise ConfigError(f"config key 'testbed' must be an object, got {obj!r}")
     extra = set(obj) - _TESTBED_KEYS
     if extra:
         raise ConfigError(f"unknown testbed keys: {sorted(extra)}")
+
+    def field(key, convert, default):
+        return convert(obj.get(key, default), f"config key 'testbed.{key}'")
+
     with _config_errors("config key 'testbed'"):
         return TestbedConfig(
-            n_queries=int(obj.get("queries", 50)),
-            docs_per_query=int(obj.get("docs_per_query", 1000)),
-            n_groups=int(obj.get("groups", 4)),
-            n_systems=int(obj.get("systems", 30)),
-            spread=float(obj.get("spread", 1.0)),
-            grade_probs=tuple(obj.get("grade_probs", (0.7, 0.2, 0.1))),
-            seed=int(obj.get("seed", default_seed)),
+            n_queries=field("queries", _integer, 50),
+            docs_per_query=field("docs_per_query", _integer, 1000),
+            n_groups=field("groups", _integer, 4),
+            n_systems=field("systems", _integer, 30),
+            spread=field("spread", _number, 1.0),
+            grade_probs=field("grade_probs", _levels, (0.7, 0.2, 0.1)),
+            seed=field("seed", _integer, default_seed),
         )
 
 
@@ -191,7 +210,7 @@ def load_config(path: str | None) -> ExperimentConfig:
     extra = set(raw) - _CONFIG_KEYS
     if extra:
         raise ConfigError(f"unknown config keys: {sorted(extra)}")
-    seed = int(raw.get("seed", 0))
+    seed = _integer(raw.get("seed", 0), "config key 'seed'")
     runs = raw.get("runs", ())
     if isinstance(runs, str):
         runs = (runs,)
@@ -199,6 +218,8 @@ def load_config(path: str | None) -> ExperimentConfig:
     if isinstance(runs_b, str):
         runs_b = (runs_b,)
     sweep = raw.get("sweep", {})
+    if not isinstance(sweep, Mapping):
+        raise ConfigError(f"config key 'sweep' must be an object, got {sweep!r}")
     cfg = ExperimentConfig(
         schemes=tuple(_scheme_from_obj(o) for o in raw.get("schemes", ())),
         runs=tuple(str(r) for r in runs),
@@ -210,7 +231,7 @@ def load_config(path: str | None) -> ExperimentConfig:
         eval_schemes=tuple(raw.get("eval_schemes", ())),
         divergence=raw.get("divergence", "js"),
         attention=_attention_from_obj(raw.get("attention", {})),
-        epsilon=float(raw.get("epsilon", 1e-10)),
+        epsilon=_number(raw.get("epsilon", 1e-10), "config key 'epsilon'"),
         target=raw.get("target", "qrels"),
         target_mode=raw.get("target_mode", "binary"),
         fallback=raw.get("fallback", "uniform"),

@@ -129,7 +129,10 @@ def normalize(weights: Sequence[float], scheme: GroupScheme) -> MembershipVector
         raise ValueError("weights must be finite")
     if any(w < 0 for w in weights):
         raise ValueError("weights must be non-negative")
-    total = math.fsum(weights)
+    try:
+        total = math.fsum(weights)
+    except OverflowError:  # finite weights whose exact sum is past the float range
+        raise ValueError("weight total is not finite") from None
     if total == 0.0:
         raise ZeroMass(f"all-zero weights for scheme {scheme.name!r}")
     if abs(total - 1.0) > SUM_TOL:

@@ -212,7 +212,7 @@ def compile_codes(
     offsets = np.arange(max(1, int(lengths.max(initial=0))))
     filled = offsets < lengths[..., None]
     rows = np.full(filled.shape, n + 1, dtype=np.intp)
-    rows[filled] = rows_of[codes[(starts[..., None] + offsets)[filled]]]
+    rows[filled] = np.take(rows_of, np.take(codes, (starts[..., None] + offsets)[filled]))
     missing = None
     hits = np.flatnonzero(rows == n)
     if hits.size:
@@ -248,12 +248,14 @@ def weighted_rows(runs: CompiledRuns, members: np.ndarray, weights: np.ndarray) 
 
     ``weights`` holds one weight per position, or one row of weights per
     list column b. The gather runs one grid row at a time, so no
-    temporary larger than (B, positions, k) exists.
+    temporary larger than (B, positions, k) exists. It is an ``np.take``,
+    which copies whole rows where fancy indexing copies element by element:
+    the same operands, so the matmul returns the same bits.
     """
     w = np.broadcast_to(weights, runs.rows.shape[1:])[:, None, :]
     out = np.empty(runs.rows.shape[:2] + (members.shape[1],))
     for a, rows in enumerate(runs.rows):
-        out[a] = np.matmul(w, members[rows])[:, 0, :]
+        out[a] = np.matmul(w, np.take(members, rows, axis=0))[:, 0, :]
     return out
 
 

@@ -265,6 +265,8 @@ def _record_to_vector(
         return normalize(raw, scheme)
     except ZeroMass:
         raise ZeroMass(f"all-zero weights for doc {record.doc_id!r}", line=line) from None
+    except ValueError as exc:
+        raise MalformedLine(f"{exc} for doc {record.doc_id!r}", line=line) from None
 
 
 def _parse_weight_spec(weight_spec: str, number: int) -> tuple[tuple[str, float], ...]:

@@ -194,6 +194,18 @@ class TestCompare:
         assert "'g1'" in lines[0] and "not finite" in lines[0]
         assert not (tmp_path / "out").exists()
 
+    def test_overflowing_weight_total_is_one_error_line(self, workspace):
+        tmp_path, config_path, _ = workspace
+        model = MODEL.replace("d2\tpair\tg1:1.0", "d2\tpair\tg0:1e308,g1:1e308")
+        (tmp_path / "model.tsv").write_text(model)
+        result = CliRunner().invoke(main, ["compare", "--config", str(config_path)])
+        assert result.exit_code == 1
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1, result.output
+        assert lines[0].startswith("Error: MalformedLine: line 2: ")
+        assert "'d2'" in lines[0] and "not finite" in lines[0]
+        assert not (tmp_path / "out").exists()
+
     def test_rerun_byte_identical(self, workspace):
         tmp_path, config_path, _ = workspace
         invoke("compare", "--config", str(config_path))
@@ -327,6 +339,27 @@ class TestGenTestbed:
         }
         assert got == want
 
+    def test_numeric_strings_in_config_still_accepted(self, tmp_path):
+        flags = invoke(
+            "gen-testbed", "--queries", "3", "--docs", "20", "--groups", "3",
+            "--systems", "4", "--seed", "7", "--out", str(tmp_path / "flags"),
+        )
+        assert flags.exit_code == 0
+        config = {
+            "seed": "0",
+            "epsilon": "1e-10",
+            "testbed": {"queries": "3", "docs_per_query": 20, "groups": 3.0,
+                        "systems": "4", "spread": "1.0", "seed": 7},
+            "out": str(tmp_path / "config"),
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        result = invoke("gen-testbed", "--config", str(path))
+        assert result.exit_code == 0, result.output
+        for name in ("annotations.tsv", "qrels.txt", "runs.txt", "scheme.json"):
+            got, want = (tmp_path / d / name for d in ("config", "flags"))
+            assert got.read_bytes() == want.read_bytes()
+
 
 class TestRunsFiles:
     def _split(self, tmp_path):
@@ -453,6 +486,22 @@ BAD_INPUTS = [
     (["evaluate"], {"schemes": [{"name": "pair", "groups": ["g0", "g0"]}]}, "'schemes'"),
     (["sample", "--train", "-1"], {}, "--train"),
     (["cost", "--docs", "-5"], {}, "--docs"),
+    (["gen-testbed"], {"seed": "abc"}, "'seed'"),
+    (["gen-testbed"], {"seed": None}, "'seed'"),
+    (["gen-testbed"], {"seed": [1]}, "'seed'"),
+    (["gen-testbed"], {"epsilon": "x"}, "'epsilon'"),
+    (["gen-testbed"], {"epsilon": 10**400}, "'epsilon'"),
+    (["gen-testbed"], {"sweep": 5}, "'sweep'"),
+    (["sweep"], {"sweep": ["levels"]}, "'sweep'"),
+    (["gen-testbed"], {"testbed": 5}, "'testbed'"),
+    (["gen-testbed"], {"testbed": ["queries"]}, "'testbed'"),
+    (["gen-testbed"], {"testbed": {"queries": "x"}}, "'testbed.queries'"),
+    (["gen-testbed"], {"testbed": {"docs_per_query": None}}, "'testbed.docs_per_query'"),
+    (["gen-testbed"], {"testbed": {"groups": "four"}}, "'testbed.groups'"),
+    (["gen-testbed"], {"testbed": {"systems": {}}}, "'testbed.systems'"),
+    (["gen-testbed"], {"testbed": {"spread": None}}, "'testbed.spread'"),
+    (["gen-testbed"], {"testbed": {"grade_probs": 5}}, "'testbed.grade_probs'"),
+    (["gen-testbed"], {"testbed": {"seed": "q"}}, "'testbed.seed'"),
 ]
 
 

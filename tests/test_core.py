@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -81,6 +82,18 @@ class TestNormalize:
             normalize([bad, 1.0], GEO)
         with pytest.raises(ValueError, match="finite"):
             MembershipVector(GEO, (bad, 0.0))
+
+    def test_overflowing_total_rejected(self):
+        with pytest.raises(ValueError, match="total is not finite"):
+            normalize([1e308, 1e308], GEO)
+        with pytest.raises(ValueError, match="total is not finite"):
+            normalize([sys.float_info.max, sys.float_info.max], GEO)
+
+    def test_large_finite_total_still_scaled(self):
+        # the largest weights whose total fits keep the division they had
+        big = sys.float_info.max / 2
+        assert normalize([big, big], GEO).weights == (big / (big + big), big / (big + big))
+        assert normalize([1e308, 7e307], GEO).weights == (1e308 / 1.7e308, 7e307 / 1.7e308)
 
     def test_idempotent_bitwise(self):
         # re-normalizing an already normalized vector must not move any bits,

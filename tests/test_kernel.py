@@ -3,14 +3,22 @@
 The oracle is the per-document evaluation the kernel replaced: each ranked
 document is looked up on its own, missing ones resolved by policy, and every
 sum is exact (``math.fsum``). It shares no array code with the kernel.
+
+A second reference holds the kernel's bits: the fancy-indexing gathers the
+kernel was first written with. Gathering the same rows another way must
+hand the same operands to the same matmul, so results are compared bit for
+bit. Both sides run in one process on one BLAS, so the comparison holds on
+any CPU; no literal output digest is pinned.
 """
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rankfair import exposure, metrics, simulate
 from rankfair.core import (
     GroupMembershipTable,
     GroupScheme,
@@ -28,9 +36,14 @@ from rankfair.errors import MissingDocument
 from rankfair.exposure import (
     AttentionModel,
     ExposureVector,
+    attention_weights,
+    compile_codes,
+    compile_entries,
     cumulative_exposure,
     expected_group_exposure,
+    member_rows,
     target_from_qrels,
+    weighted_rows,
 )
 from rankfair.metrics import KL_EPSILON, LN2, MetricConfig, awrf, evaluate_runset
 
@@ -372,3 +385,109 @@ def test_parsed_run_set_scores_as_the_built_one():
         assert got["s1"].missing_queries == ("q1",)
         for (system, q, metric), value in want.items():
             assert abs(got[system].per_query[q][metric] - value) <= TOL
+
+
+# --- bitwise reference ----------------------------------------------------------------
+
+
+def fancy_weighted_rows(runs, members, weights):
+    """``weighted_rows`` with its gather written as fancy indexing."""
+    w = np.broadcast_to(weights, runs.rows.shape[1:])[:, None, :]
+    out = np.empty(runs.rows.shape[:2] + (members.shape[1],))
+    for a, rows in enumerate(runs.rows):
+        out[a] = np.matmul(w, members[rows])[:, 0, :]
+    return out
+
+
+def mask_compile(vocabulary, codes, starts, lengths, index, depth):
+    """``compile_codes``'s rows and lengths by the boolean-mask formula."""
+    n = len(index)
+    rows_of = np.array([index.get(d, n) for d in vocabulary], dtype=np.intp)
+    if depth is not None:
+        lengths = np.minimum(lengths, depth)
+    offsets = np.arange(max(1, int(lengths.max(initial=0))))
+    filled = offsets < lengths[..., None]
+    rows = np.full(filled.shape, n + 1, dtype=np.intp)
+    rows[filled] = rows_of[codes[(starts[..., None] + offsets)[filled]]]
+    return rows, lengths
+
+
+def same_bits(got, want):
+    return got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@st.composite
+def code_grids(draw, docs):
+    """A grid of doc lists, ``None`` for an absent one, and the same grid as
+    codes into a shuffled vocabulary, with unused codes between the lists."""
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 4)))
+    grid = [
+        [
+            draw(st.none() | st.just([]) | st.lists(st.sampled_from(docs), min_size=1, max_size=40))
+            for _ in range(shape[1])
+        ]
+        for _ in range(shape[0])
+    ]
+    vocabulary = draw(st.permutations(docs))
+    code_of = {d: i for i, d in enumerate(vocabulary)}
+    codes, starts, lengths = [], np.zeros(shape, np.intp), np.zeros(shape, np.intp)
+    for a, row in enumerate(grid):
+        for b, docs_ab in enumerate(row):
+            codes.extend(draw(st.lists(st.integers(0, len(docs) - 1), max_size=2)))
+            if docs_ab is not None:
+                starts[a, b], lengths[a, b] = len(codes), len(docs_ab)
+                codes.extend(code_of[d] for d in docs_ab)
+    return grid, vocabulary, np.array(codes, dtype=np.intp), starts, lengths
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_kernel_gathers_match_fancy_indexing_bit_for_bit(data):
+    docs = [f"d{i}" for i in range(data.draw(st.integers(1, 50)))]
+    scheme = scheme_of("a", data.draw(st.integers(2, 5)))
+    table = data.draw(tables([scheme], docs))  # one-hot and soft rows, a quarter missing
+    index, matrix = table.matrix(scheme.name)
+    grid, vocabulary, codes, starts, lengths = data.draw(code_grids(docs))
+    depth = data.draw(st.none() | st.integers(1, 45))
+
+    runs = compile_codes(vocabulary, codes, starts, lengths, index, depth)
+    rows, clipped = mask_compile(vocabulary, codes, starts, lengths, index, depth)
+    assert runs.rows.dtype == np.intp and np.array_equal(runs.rows, rows)
+    assert np.array_equal(runs.lengths, clipped)
+    entries = [[None if d is None else [(doc, 0.0) for doc in d] for d in row] for row in grid]
+    built = compile_entries(entries, index, depth)
+    assert np.array_equal(built.rows, runs.rows) and np.array_equal(built.lengths, runs.lengths)
+    assert built.missing == runs.missing
+
+    policy = data.draw(st.sampled_from(POLICIES))
+    if policy is MissingPolicy.REJECT and runs.missing is not None:
+        with pytest.raises(MissingDocument):
+            member_rows(matrix, scheme, policy, runs)
+        return
+    members = member_rows(matrix, scheme, policy, runs)
+    width = runs.rows.shape[-1]
+    if data.draw(st.booleans()):  # attention: one weight per position
+        weights = attention_weights(data.draw(attention_models()), width)
+        weights = np.pad(weights, (0, width - len(weights)))
+    else:  # qrels coefficients: one row of weights per list column
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        weights = np.random.default_rng(seed).uniform(0.0, 3.0, runs.rows.shape[1:])
+    got = weighted_rows(runs, members, weights)
+    assert same_bits(got, fancy_weighted_rows(runs, members, weights))
+
+
+def test_sweep_matches_the_fancy_indexing_kernel(monkeypatch):
+    bed = simulate.generate_testbed(
+        simulate.TestbedConfig(n_queries=5, docs_per_query=100, n_groups=3, n_systems=30, seed=3)
+    )
+    for config in (MetricConfig(), MetricConfig(target="qrels-graded", divergence="kl")):
+        got = simulate.sweep_to_json(
+            simulate.accuracy_sweep(bed, [0.4, 0.7, 1.0], trials=2, metric_config=config)
+        )
+        with monkeypatch.context() as patch:
+            patch.setattr(exposure, "weighted_rows", fancy_weighted_rows)
+            patch.setattr(metrics, "weighted_rows", fancy_weighted_rows)
+            want = simulate.sweep_to_json(
+                simulate.accuracy_sweep(bed, [0.4, 0.7, 1.0], trials=2, metric_config=config)
+            )
+        assert got == want

@@ -3,7 +3,7 @@
 The oracle is the row-by-row parser that builds and validates a fresh
 membership vector for every row; ``parse_annotations`` reuses one vector
 for TSV rows with the same scheme and weight text. The oracle also rejects
-non-finite weights, as the parser does. On any input both must return
+non-finite weights and totals, as the parser does. On any input both must return
 equal tables, with every weight equal bit for bit (``-0.0`` and ``0.0``
 told apart), or raise the same error class for the same line with the
 same message.
@@ -58,6 +58,8 @@ def oracle_record_to_vector(doc_id, scheme_name, pairs, schemes, line):
         return normalize(raw, scheme)
     except ZeroMass:
         raise ZeroMass(f"all-zero weights for doc {doc_id!r}", line=line) from None
+    except ValueError as exc:  # finite weights whose total overflows
+        raise MalformedLine(f"{exc} for doc {doc_id!r}", line=line) from None
 
 
 def oracle_tsv_record(line, number):
@@ -203,6 +205,7 @@ class TestTable:
             ("d9\tabc\ta:-1", MalformedLine),
             ("d9\tabc\ta:nan", MalformedLine),
             ("d9\tabc\ta:1e999", MalformedLine),
+            ("d9\tabc\ta:1e308,b:1e308", MalformedLine),
             ("d9\tabc", MalformedLine),
             ("d9\tabc\ta:1\textra", MalformedLine),
         ],
@@ -234,6 +237,7 @@ PROPERTY_SCHEMES = [ABC, GroupScheme("ba", ("b", "a"), unknown_index=0)]
 DOCS = ["d0", "d1", "d2", "d é", "d,1:2"]
 GOOD_WEIGHTS = [
     "1", "0.5", "1.0", "0", "2", "1", "0.3", "-0.0", "1e-320", "1", "0.0", "7e300", "1.0",
+    "1.5e308",  # twice this overflows the total
 ]
 BAD_WEIGHTS = ["-1", "nan", "inf", "-inf", "1e999", "x", ""]
 BAD_PAIRS = ["a", ":1", "a:", "a:1:2", ""]
