@@ -11,11 +11,13 @@ reports as they were.
 from __future__ import annotations
 
 import json
+import math
 import os
-from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from contextlib import contextmanager, suppress
+from functools import wraps
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import IO, Iterator, Mapping
+from typing import IO, Iterator, Mapping, get_type_hints
 
 import click
 
@@ -57,47 +59,13 @@ from .stats import (
     correlation_to_json,
 )
 
-_CONFIG_KEYS = {
-    "schemes", "runs", "runs_b", "qrels", "annotations", "annotations_b",
-    "annotation_format", "eval_schemes", "divergence", "attention", "epsilon",
-    "target", "target_mode", "fallback", "complement", "exclude_unknown",
-    "exclude_missing", "include_overall", "seed", "out", "testbed", "sweep",
-}
-
-_TESTBED_KEYS = {
-    "queries", "docs_per_query", "groups", "systems", "spread", "grade_probs", "seed",
-}
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Declarative experiment settings; any flag can override a field."""
-
-    schemes: tuple[GroupScheme, ...] = ()
-    runs: tuple[str, ...] = ()
-    runs_b: tuple[str, ...] = ()
-    qrels: str | None = None
-    annotations: str | None = None
-    annotations_b: str | None = None
-    annotation_format: str = "tsv"
-    eval_schemes: tuple[str, ...] = ()
-    divergence: str = "js"
-    attention: AttentionModel = DEFAULT_ATTENTION
-    epsilon: float = 1e-10
-    target: str = "qrels"  # "qrels" | "uniform" | path to a target file
-    target_mode: str = "binary"
-    fallback: str = "uniform"
-    complement: bool = False
-    exclude_unknown: bool = False
-    exclude_missing: bool = False
-    include_overall: bool = True
-    seed: int = 0
-    out: str = "reports"
-    testbed: TestbedConfig | None = None
-    levels: tuple[float, ...] = (0.25, 0.4, 0.55, 0.7, 0.8, 0.9, 1.0)
-    trials: int = 5
-    workers: int = 1
-    confusion_style: str = "uniform"
+#: The values a setting with a fixed set of choices may take; the config
+#: loader and each flag's ``click.Choice`` both read these.
+_ANNOTATION_FORMATS = ("tsv", "jsonl")
+_DIVERGENCES = ("kl", "js")
+_TARGET_MODES = ("binary", "graded")
+_FALLBACKS = ("uniform", "all-unknown", "reject")
+_CONFUSION_STYLES = ("uniform", "biased")
 
 
 @contextmanager
@@ -110,149 +78,225 @@ def _config_errors(name: str) -> Iterator[None]:
         raise ConfigError(f"{name}: {exc}") from None
 
 
-def _scheme_from_obj(obj: Mapping) -> GroupScheme:
-    try:
-        name = obj["name"]
-        groups = tuple(str(g) for g in obj["groups"])
-    except (KeyError, TypeError):
-        raise ConfigError("scheme entries need 'name' and 'groups'") from None
-    unknown = obj.get("unknown")
-    if unknown is None:
-        index = None
-    elif isinstance(unknown, int):
-        index = unknown
-    else:
-        if unknown not in groups:
-            raise ConfigError(f"unknown label {unknown!r} not in scheme {name!r}")
-        index = groups.index(unknown)
-    with _config_errors(f"config key 'schemes', scheme {name!r}"):
-        return GroupScheme(name, groups, index)
-
-
-def _attention_from_obj(obj: Mapping) -> AttentionModel:
-    if not isinstance(obj, Mapping):
-        raise ConfigError(f"config key 'attention' must be an object, got {obj!r}")
-    try:
-        return AttentionModel(
-            obj.get("kind", "geometric"),
-            patience=float(obj.get("patience", 0.5)),
-            cutoff=obj.get("cutoff"),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config key 'attention': {exc}") from None
-
-
 def _integer(value, name: str) -> int:
-    """A flag or config value that must be an integer."""
-    try:
+    """An integer; an integral number or an integer string also counts."""
+    if isinstance(value, float) and value.is_integer():
         return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        with suppress(ValueError):
+            return int(value)
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 def _number(value, name: str) -> float:
-    """A config value that must be a number."""
+    """A finite number; a number string also counts."""
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        with suppress(ValueError, OverflowError):
+            number = float(value)
+            if math.isfinite(number):
+                return number
+    raise ConfigError(f"{name} must be a finite number, got {value!r}")
+
+
+def _boolean(value, name: str) -> bool:
+    if value in (0, 1):  # true and false are 1 and 0
+        return bool(value)
+    raise ConfigError(f"{name} must be true or false, got {value!r}")
+
+
+def _string(value, name: str) -> str:
+    if isinstance(value, str):
+        return value
+    raise ConfigError(f"{name} must be a string, got {value!r}")
+
+
+def _strings(value, name: str) -> tuple[str, ...]:
+    """A list of strings; a single string is a list of one."""
+    if isinstance(value, str):
+        return (value,)
+    if isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value):
+        return tuple(value)
+    raise ConfigError(f"{name} must be a string or a list of strings, got {value!r}")
+
+
+def _numbers(value, name: str) -> tuple[float, ...]:
+    if isinstance(value, (list, tuple)):
+        return tuple(_number(v, f"each entry of {name}") for v in value)
+    raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
+
+
+def _scheme_from_obj(obj, name: str) -> GroupScheme:
     try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+        scheme = obj["name"]
+        groups = tuple(str(g) for g in obj["groups"])
+    except (KeyError, TypeError):
+        raise ConfigError(f"{name}: scheme entries need 'name' and 'groups'") from None
+    unknown = obj.get("unknown")  # a label, or its index
+    if unknown is not None and not isinstance(unknown, int):
+        if unknown not in groups:
+            raise ConfigError(f"{name}: unknown label {unknown!r} not in scheme {scheme!r}")
+        unknown = groups.index(unknown)
+    with _config_errors(f"{name}, scheme {scheme!r}"):
+        return GroupScheme(scheme, groups, unknown)
 
 
-def _count(value, name: str) -> int:
-    """A flag or config value that must be an integer of at least 1."""
-    count = _integer(value, name)
-    if count < 1:
-        raise ConfigError(f"{name} must be at least 1, got {count}")
-    return count
+def _schemes(value, name: str) -> tuple[GroupScheme, ...]:
+    if isinstance(value, (list, tuple)):
+        return tuple(_scheme_from_obj(obj, name) for obj in value)
+    raise ConfigError(f"{name} must be a list of scheme objects, got {value!r}")
 
 
-def _levels(values, name: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(v) for v in values)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{name} must be a list of numbers, got {values!r}") from None
+def _setting(default, **checks):
+    """A field whose config value must also pass ``checks``: one of
+    ``choices``, or at least ``minimum``."""
+    return field(default=default, metadata=checks)
 
 
-def _testbed_from_obj(obj, default_seed: int) -> TestbedConfig:
-    if not isinstance(obj, Mapping):
-        raise ConfigError(f"config key 'testbed' must be an object, got {obj!r}")
-    extra = set(obj) - _TESTBED_KEYS
-    if extra:
-        raise ConfigError(f"unknown testbed keys: {sorted(extra)}")
+@dataclass(frozen=True)
+class SweepConfig:
+    """Accuracy levels, trials per level and confusion style of ``sweep``."""
 
-    def field(key, convert, default):
-        return convert(obj.get(key, default), f"config key 'testbed.{key}'")
-
-    with _config_errors("config key 'testbed'"):
-        return TestbedConfig(
-            n_queries=field("queries", _integer, 50),
-            docs_per_query=field("docs_per_query", _integer, 1000),
-            n_groups=field("groups", _integer, 4),
-            n_systems=field("systems", _integer, 30),
-            spread=field("spread", _number, 1.0),
-            grade_probs=field("grade_probs", _levels, (0.7, 0.2, 0.1)),
-            seed=field("seed", _integer, default_seed),
-        )
+    levels: tuple[float, ...] = (0.25, 0.4, 0.55, 0.7, 0.8, 0.9, 1.0)
+    trials: int = _setting(5, minimum=1)
+    workers: int = _setting(1, minimum=1)
+    style: str = _setting("uniform", choices=_CONFUSION_STYLES)
 
 
-def load_config(path: str | None) -> ExperimentConfig:
-    """Load a JSON experiment config; a missing path yields the defaults."""
-    if path is None:
-        return ExperimentConfig()
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc.strerror}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc.msg}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config {path} must hold a JSON object")
-    extra = set(raw) - _CONFIG_KEYS
-    if extra:
-        raise ConfigError(f"unknown config keys: {sorted(extra)}")
-    seed = _integer(raw.get("seed", 0), "config key 'seed'")
-    runs = raw.get("runs", ())
-    if isinstance(runs, str):
-        runs = (runs,)
-    runs_b = raw.get("runs_b", ())
-    if isinstance(runs_b, str):
-        runs_b = (runs_b,)
-    sweep = raw.get("sweep", {})
-    if not isinstance(sweep, Mapping):
-        raise ConfigError(f"config key 'sweep' must be an object, got {sweep!r}")
-    cfg = ExperimentConfig(
-        schemes=tuple(_scheme_from_obj(o) for o in raw.get("schemes", ())),
-        runs=tuple(str(r) for r in runs),
-        runs_b=tuple(str(r) for r in runs_b),
-        qrels=raw.get("qrels"),
-        annotations=raw.get("annotations"),
-        annotations_b=raw.get("annotations_b"),
-        annotation_format=raw.get("annotation_format", "tsv"),
-        eval_schemes=tuple(raw.get("eval_schemes", ())),
-        divergence=raw.get("divergence", "js"),
-        attention=_attention_from_obj(raw.get("attention", {})),
-        epsilon=_number(raw.get("epsilon", 1e-10), "config key 'epsilon'"),
-        target=raw.get("target", "qrels"),
-        target_mode=raw.get("target_mode", "binary"),
-        fallback=raw.get("fallback", "uniform"),
-        complement=bool(raw.get("complement", False)),
-        exclude_unknown=bool(raw.get("exclude_unknown", False)),
-        exclude_missing=bool(raw.get("exclude_missing", False)),
-        include_overall=bool(raw.get("include_overall", True)),
-        seed=seed,
-        out=raw.get("out", "reports"),
-        testbed=_testbed_from_obj(raw["testbed"], seed) if "testbed" in raw else None,
-        levels=_levels(sweep.get("levels", ExperimentConfig.levels), "config key 'sweep.levels'"),
-        trials=_count(sweep.get("trials", 5), "config key 'sweep.trials'"),
-        workers=_count(sweep.get("workers", 1), "config key 'sweep.workers'"),
-        confusion_style=sweep.get("style", "uniform"),
-    )
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Declarative experiment settings; any flag can override a field."""
+
+    schemes: tuple[GroupScheme, ...] = ()
+    runs: tuple[str, ...] = ()
+    runs_b: tuple[str, ...] = ()
+    qrels: str | None = None
+    annotations: str | None = None
+    annotations_b: str | None = None
+    annotation_format: str = _setting("tsv", choices=_ANNOTATION_FORMATS)
+    eval_schemes: tuple[str, ...] = ()
+    divergence: str = _setting("js", choices=_DIVERGENCES)
+    attention: AttentionModel = DEFAULT_ATTENTION
+    epsilon: float = 1e-10
+    target: str = "qrels"  # "qrels" | "uniform" | path to a target file
+    target_mode: str = _setting("binary", choices=_TARGET_MODES)
+    fallback: str = _setting("uniform", choices=_FALLBACKS)
+    complement: bool = False
+    exclude_unknown: bool = False
+    exclude_missing: bool = False
+    include_overall: bool = True
+    seed: int = 0
+    out: str = "reports"
+    testbed: TestbedConfig | None = None
+    sweep: SweepConfig = SweepConfig()
+
+
+#: config section -> the dataclass it builds
+_SECTIONS = {"attention": AttentionModel, "sweep": SweepConfig, "testbed": TestbedConfig}
+#: field -> config key, for the fields whose key is not their name
+_RENAMED = {"n_queries": "queries", "n_groups": "groups", "n_systems": "systems"}
+
+#: flag -> the config key it sets
+_FLAG_KEYS = {
+    "--seed": "seed", "--out": "out", "--runs": "runs", "--qrels": "qrels",
+    "--annotations": "annotations", "--annotations-b": "annotations_b", "--scheme": "eval_schemes",
+    "--divergence": "divergence", "--patience": "attention.patience", "--cutoff": "attention.cutoff",
+    "--target": "target", "--target-mode": "target_mode", "--fallback": "fallback",
+    "--complement": "complement", "--exclude-missing": "exclude_missing",
+    "--levels": "sweep.levels", "--trials": "sweep.trials", "--workers": "sweep.workers",
+    "--style": "sweep.style", "--queries": "testbed.queries", "--docs": "testbed.docs_per_query",
+    "--groups": "testbed.groups", "--systems": "testbed.systems", "--spread": "testbed.spread",
+    "--grade-probs": "testbed.grade_probs",
+}
+
+
+def _optional(convert):
+    return lambda value, name: None if value is None else convert(value, name)
+
+
+#: field type -> the converter of a config value to that type
+_CONVERTERS = {
+    int: _integer, float: _number, bool: _boolean, str: _string,
+    int | None: _optional(_integer), str | None: _optional(_string),
+    tuple[str, ...]: _strings, tuple[float, ...]: _numbers, tuple[GroupScheme, ...]: _schemes,
+}
+
+
+def _convert(raw, section: str, set_by: Mapping[str, str]) -> dict:
+    """Keyword arguments from one config section (the top level when
+    ``section`` is empty), each converted by the type of the field it sets.
+    An error names the flag that set the key (``set_by``), if one did."""
+    cls = _SECTIONS.get(section, ExperimentConfig)
+    table = {_RENAMED.get(f.name, f.name): f.name for f in fields(cls)}
+    prefix = f"{section}." if section else ""
+    if not isinstance(raw, Mapping):
+        raise ConfigError(f"config key '{section}' must be an object, got {raw!r}")
+    unknown = [prefix + key for key in raw if key not in table]
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    types = get_type_hints(cls)
+    metadata = {f.name: f.metadata for f in fields(cls)}
+    kwargs = {}
+    for key, value in raw.items():
+        name = set_by.get(prefix + key, f"config key '{prefix}{key}'")
+        field_name = table[key]
+        value = kwargs[field_name] = _CONVERTERS[types[field_name]](value, name)
+        checks = metadata[field_name]
+        if "choices" in checks and value not in checks["choices"]:
+            raise ConfigError(f"{name} must be one of {', '.join(checks['choices'])}; got {value!r}")
+        if "minimum" in checks and value < checks["minimum"]:
+            raise ConfigError(f"{name} must be at least {checks['minimum']}, got {value}")
+    return kwargs
+
+
+def load_config(
+    path: str | None = None,
+    flags: Mapping[str, object] | None = None,
+    flag_keys: Mapping[str, str] = _FLAG_KEYS,
+) -> ExperimentConfig:
+    """Load a JSON experiment config (a missing path yields the defaults)
+    with flag values set over the config keys ``flag_keys`` maps them to.
+
+    A flag whose value is None, False or empty was not given. A testbed
+    section without a seed takes the config file's top-level seed.
+    """
+    raw: dict = {}
+    if path is not None:
+        try:
+            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {path}: {exc.strerror}") from None
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config {path} is not valid JSON: {exc.msg}") from None
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config {path} must hold a JSON object")
+    file_seed = {"seed": raw["seed"]} if "seed" in raw else {}
+    set_by: dict[str, str] = {}  # config key -> the flag that set it
+    for flag, value in (flags or {}).items():
+        if value is None or value is False or value in ((), ""):
+            continue
+        key = flag_keys[flag]
+        set_by[key] = flag
+        section, _, sub = key.rpartition(".")
+        part = raw.setdefault(section, {}) if section else raw
+        if isinstance(part, dict):
+            part[sub] = value
+    if isinstance(raw.get("testbed"), dict):
+        raw["testbed"] = {**file_seed, **raw["testbed"]}
+    parts = {section: raw.pop(section) for section in _SECTIONS if section in raw}
+    kwargs = _convert(raw, "", set_by)
+    for section, part in parts.items():
+        values = _convert(part, section, set_by)
+        setters = [flag for key, flag in set_by.items() if key.startswith(f"{section}.")]
+        # a section sets fields over the default of the field it builds
+        default = getattr(ExperimentConfig, section) or _SECTIONS[section]()
+        with _config_errors(" or ".join(setters) or f"config key '{section}'"):
+            kwargs[section] = replace(default, **values)
+    cfg = ExperimentConfig(**kwargs)
+    undeclared = set(cfg.eval_schemes) - {s.name for s in cfg.schemes}
+    if cfg.schemes and undeclared:
+        name = set_by.get("eval_schemes", "config key 'eval_schemes'")
+        raise ConfigError(f"{name} names undeclared schemes {sorted(undeclared)}")
     return cfg
-
-
-def _override(cfg: ExperimentConfig, **kwargs) -> ExperimentConfig:
-    changes = {k: v for k, v in kwargs.items() if v not in (None, (), "")}
-    return replace(cfg, **changes) if changes else cfg
 
 
 @contextmanager
@@ -313,13 +357,8 @@ def _load_explicit_targets(cfg: ExperimentConfig):
 
 
 def _metric_config(cfg: ExperimentConfig) -> MetricConfig:
-    try:
-        fallback = MissingPolicy(cfg.fallback)
-    except ValueError:
-        raise ConfigError(f"unknown fallback policy {cfg.fallback!r}") from None
     if cfg.target == "qrels":
-        target = "qrels-binary" if cfg.target_mode == "binary" else "qrels-graded"
-        explicit = None
+        target, explicit = f"qrels-{cfg.target_mode}", None
     elif cfg.target == "uniform":
         target, explicit = "uniform", None
     else:
@@ -331,7 +370,7 @@ def _metric_config(cfg: ExperimentConfig) -> MetricConfig:
         epsilon=cfg.epsilon,
         target=target,
         explicit_targets=explicit,
-        fallback=fallback,
+        fallback=MissingPolicy(cfg.fallback),
         include_overall=cfg.include_overall,
         complement=cfg.complement,
         exclude_unknown=cfg.exclude_unknown,
@@ -361,11 +400,17 @@ def _write_outputs(out_dir: str, files: Mapping[str, str]) -> None:
             tmp.unlink(missing_ok=True)
 
 
-def _guarded(fn):
-    try:
-        fn()
-    except RankfairError as exc:
-        raise click.ClickException(f"{type(exc).__name__}: {exc}") from exc
+def _guarded(command):
+    """Report a ``RankfairError`` from ``command`` as one error line."""
+
+    @wraps(command)
+    def run(*args, **kwargs):
+        try:
+            command(*args, **kwargs)
+        except RankfairError as exc:
+            raise click.ClickException(f"{type(exc).__name__}: {exc}") from exc
+
+    return run
 
 
 @click.group()
@@ -380,6 +425,11 @@ _seed_option = click.option("--seed", type=int, default=None, help="Override the
 _out_option = click.option("--out", default=None, help="Output directory.")
 
 
+def _comma_list(ctx, param, value):
+    """A comma-separated flag value as the list its config key holds."""
+    return None if value is None else value.split(",")
+
+
 def _eval_options(fn):
     for option in (
         click.option("--runs", multiple=True, help="Run file (repeatable)."),
@@ -389,14 +439,12 @@ def _eval_options(fn):
             "--scheme", "eval_schemes", multiple=True,
             help="Evaluate only these declared schemes (repeatable).",
         ),
-        click.option("--divergence", type=click.Choice(["kl", "js"]), default=None),
+        click.option("--divergence", type=click.Choice(_DIVERGENCES), default=None),
         click.option("--patience", type=float, default=None, help="Geometric attention patience."),
         click.option("--cutoff", type=int, default=None, help="Attention cutoff rank."),
         click.option("--target", default=None, help="qrels, uniform, or a target file path."),
-        click.option("--target-mode", type=click.Choice(["binary", "graded"]), default=None),
-        click.option(
-            "--fallback", type=click.Choice(["uniform", "all-unknown", "reject"]), default=None
-        ),
+        click.option("--target-mode", type=click.Choice(_TARGET_MODES), default=None),
+        click.option("--fallback", type=click.Choice(_FALLBACKS), default=None),
         click.option("--complement", is_flag=True, default=False,
                      help="Report 1 - JS/ln2 (higher is fairer)."),
     ):
@@ -404,28 +452,11 @@ def _eval_options(fn):
     return fn
 
 
-def _effective_config(config_path, seed, out, **kwargs) -> ExperimentConfig:
-    cfg = load_config(config_path)
-    attention = cfg.attention
-    patience = kwargs.pop("patience", None)
-    cutoff = kwargs.pop("cutoff", None)
-    if cutoff is not None:
-        _count(cutoff, "--cutoff")
-    if patience is not None or cutoff is not None:
-        attention = AttentionModel(
-            attention.kind,
-            patience=patience if patience is not None else attention.patience,
-            cutoff=cutoff if cutoff is not None else attention.cutoff,
-        )
-    complement = kwargs.pop("complement", False) or cfg.complement
-    return _override(
-        cfg,
-        seed=seed,
-        out=out,
-        attention=attention,
-        complement=complement,
-        **kwargs,
-    )
+def _effective_config(flag_keys: Mapping[str, str] = _FLAG_KEYS) -> ExperimentConfig:
+    """The running command's config file with its flags set over it."""
+    ctx = click.get_current_context()
+    flags = {p.opts[0]: ctx.params[p.name] for p in ctx.command.params if p.opts[0] in flag_keys}
+    return load_config(ctx.params["config_path"], flags, flag_keys)
 
 
 @main.command()
@@ -433,28 +464,25 @@ def _effective_config(config_path, seed, out, **kwargs) -> ExperimentConfig:
 @_seed_option
 @_out_option
 @_eval_options
-def evaluate(config_path, seed, out, **kwargs):
+@_guarded
+def evaluate(**_):
     """Score every system's rankings against the target exposure."""
-
-    def body():
-        cfg = _effective_config(config_path, seed, out, **kwargs)
-        runset = _load_runset(cfg)
-        table = _load_table(cfg, cfg.annotations, "human")
-        qrels = _load_qrels_if_needed(cfg)
-        reports = evaluate_runset(
-            runset, qrels, table, _eval_scheme_names(cfg), _metric_config(cfg)
-        )
-        _write_outputs(
-            cfg.out,
-            {
-                "metrics.csv": reports_to_csv(reports),
-                "metrics_system.csv": aggregates_to_csv(reports),
-                "metrics.json": reports_to_json(reports),
-            },
-        )
-        click.echo(f"evaluated {len(reports)} systems -> {cfg.out}")
-
-    _guarded(body)
+    cfg = _effective_config()
+    runset = _load_runset(cfg)
+    table = _load_table(cfg, cfg.annotations, "human")
+    qrels = _load_qrels_if_needed(cfg)
+    reports = evaluate_runset(
+        runset, qrels, table, _eval_scheme_names(cfg), _metric_config(cfg)
+    )
+    _write_outputs(
+        cfg.out,
+        {
+            "metrics.csv": reports_to_csv(reports),
+            "metrics_system.csv": aggregates_to_csv(reports),
+            "metrics.json": reports_to_json(reports),
+        },
+    )
+    click.echo(f"evaluated {len(reports)} systems -> {cfg.out}")
 
 
 @main.command()
@@ -465,38 +493,33 @@ def evaluate(config_path, seed, out, **kwargs):
 @click.option("--annotations-b", default=None, help="Second annotation table.")
 @click.option("--exclude-missing", is_flag=True, default=False,
               help="Drop queries any system failed to return from query-level rows.")
-def compare(config_path, seed, out, annotations_b, exclude_missing, **kwargs):
+@_guarded
+def compare(**_):
     """Correlate metrics computed under two annotation sources."""
-
-    def body():
-        cfg = _effective_config(config_path, seed, out, **kwargs)
-        cfg = _override(cfg, annotations_b=annotations_b,
-                        exclude_missing=exclude_missing or cfg.exclude_missing)
-        runset = _load_runset(cfg)
-        runset_b = _load_runset(cfg, cfg.runs_b) if cfg.runs_b else runset
-        table_a = _load_table(cfg, cfg.annotations, "human")
-        table_b = _load_table(cfg, cfg.annotations_b, "model")
-        qrels = _load_qrels_if_needed(cfg)
-        mconfig = _metric_config(cfg)
-        names = _eval_scheme_names(cfg)
-        reports_a = evaluate_runset(runset, qrels, table_a, names, mconfig)
-        reports_b = evaluate_runset(runset_b, qrels, table_b, names, mconfig)
-        report = correlation_report(
-            reports_a, reports_b, level="both", exclude_missing=cfg.exclude_missing
-        )
-        system_part = CorrelationReport(report.alpha, report.system_rows(), report.skipped)
-        query_part = CorrelationReport(report.alpha, report.query_rows(), ())
-        _write_outputs(
-            cfg.out,
-            {
-                "correlation_system.csv": correlation_to_csv(system_part),
-                "correlation_query.csv": correlation_to_csv(query_part),
-                "correlation.json": correlation_to_json(report),
-            },
-        )
-        click.echo(f"compared {len(reports_a)} systems -> {cfg.out}")
-
-    _guarded(body)
+    cfg = _effective_config()
+    runset = _load_runset(cfg)
+    runset_b = _load_runset(cfg, cfg.runs_b) if cfg.runs_b else runset
+    table_a = _load_table(cfg, cfg.annotations, "human")
+    table_b = _load_table(cfg, cfg.annotations_b, "model")
+    qrels = _load_qrels_if_needed(cfg)
+    mconfig = _metric_config(cfg)
+    names = _eval_scheme_names(cfg)
+    reports_a = evaluate_runset(runset, qrels, table_a, names, mconfig)
+    reports_b = evaluate_runset(runset_b, qrels, table_b, names, mconfig)
+    report = correlation_report(
+        reports_a, reports_b, level="both", exclude_missing=cfg.exclude_missing
+    )
+    system_part = CorrelationReport(report.alpha, report.system_rows(), report.skipped)
+    query_part = CorrelationReport(report.alpha, report.query_rows(), ())
+    _write_outputs(
+        cfg.out,
+        {
+            "correlation_system.csv": correlation_to_csv(system_part),
+            "correlation_query.csv": correlation_to_csv(query_part),
+            "correlation.json": correlation_to_json(report),
+        },
+    )
+    click.echo(f"compared {len(reports_a)} systems -> {cfg.out}")
 
 
 @main.command()
@@ -504,64 +527,56 @@ def compare(config_path, seed, out, annotations_b, exclude_missing, **kwargs):
 @_seed_option
 @_out_option
 @_eval_options
-@click.option("--levels", default=None, help="Comma-separated accuracy levels.")
+@click.option("--levels", default=None, callback=_comma_list,
+              help="Comma-separated accuracy levels.")
 @click.option("--trials", type=int, default=None, help="Trials per accuracy level.")
 @click.option("--workers", type=int, default=None,
               help="Accepted for compatibility (at least 1); trials always run serially.")
-@click.option("--style", type=click.Choice(["uniform", "biased"]), default=None,
+@click.option("--style", type=click.Choice(_CONFUSION_STYLES), default=None,
               help="Confusion matrix error structure.")
-def sweep(config_path, seed, out, levels, trials, workers, style, **kwargs):
+@_guarded
+def sweep(**_):
     """Sweep annotation accuracy and correlate degraded vs. true metrics.
 
     Uses run/qrels/annotation files when configured, otherwise generates the
     configured (or default) synthetic testbed.
     """
-
-    def body():
-        cfg = _effective_config(config_path, seed, out, **kwargs)
-        if levels is not None:
-            cfg = _override(cfg, levels=_levels(levels.split(","), "--levels"))
-        for value, flag in ((trials, "--trials"), (workers, "--workers")):
-            if value is not None:
-                _count(value, flag)
-        cfg = _override(cfg, trials=trials, workers=workers, confusion_style=style)
-        scheme_name = None
-        if cfg.runs and cfg.annotations:
-            runset = _load_runset(cfg)
-            table = _load_table(cfg, cfg.annotations, "human")
-            qrels = _load_qrels_if_needed(cfg)
-            if qrels is None:
-                qrels = Qrels({})
-            names = _eval_scheme_names(cfg)
-            if len(names) != 1:
-                raise ConfigError("sweep needs exactly one scheme; pass --scheme")
-            scheme_name = names[0]
-            testbed = Testbed(table, qrels, runset)
-        else:
-            testbed = generate_testbed(cfg.testbed or TestbedConfig(seed=cfg.seed))
-        result = accuracy_sweep(
-            testbed,
-            cfg.levels,
-            cfg.trials,
-            metric_config=_metric_config(cfg),
-            seed=cfg.seed,
-            workers=cfg.workers,
-            style=cfg.confusion_style,
-            scheme_name=scheme_name,
-        )
-        _write_outputs(
-            cfg.out,
-            {
-                "sweep_trials.csv": sweep_trials_to_csv(result),
-                "sweep_summary.csv": sweep_summary_to_csv(result),
-                "sweep.json": sweep_to_json(result),
-            },
-        )
-        click.echo(
-            f"swept {len(result.levels)} levels x {cfg.trials} trials -> {cfg.out}"
-        )
-
-    _guarded(body)
+    cfg = _effective_config()
+    scheme_name = None
+    if cfg.runs and cfg.annotations:
+        runset = _load_runset(cfg)
+        table = _load_table(cfg, cfg.annotations, "human")
+        qrels = _load_qrels_if_needed(cfg)
+        if qrels is None:
+            qrels = Qrels({})
+        names = _eval_scheme_names(cfg)
+        if len(names) != 1:
+            raise ConfigError("sweep needs exactly one scheme; pass --scheme")
+        scheme_name = names[0]
+        testbed = Testbed(table, qrels, runset)
+    else:
+        testbed = generate_testbed(cfg.testbed or TestbedConfig(seed=cfg.seed))
+    result = accuracy_sweep(
+        testbed,
+        cfg.sweep.levels,
+        cfg.sweep.trials,
+        metric_config=_metric_config(cfg),
+        seed=cfg.seed,
+        workers=cfg.sweep.workers,
+        style=cfg.sweep.style,
+        scheme_name=scheme_name,
+    )
+    _write_outputs(
+        cfg.out,
+        {
+            "sweep_trials.csv": sweep_trials_to_csv(result),
+            "sweep_summary.csv": sweep_summary_to_csv(result),
+            "sweep.json": sweep_to_json(result),
+        },
+    )
+    click.echo(
+        f"swept {len(result.levels)} levels x {cfg.sweep.trials} trials -> {cfg.out}"
+    )
 
 
 @main.command()
@@ -569,35 +584,30 @@ def sweep(config_path, seed, out, levels, trials, workers, style, **kwargs):
 @_seed_option
 @_out_option
 @click.option("--annotations", default=None, help="Annotation table.")
-@click.option("--scheme", "scheme_name", default=None, help="Scheme to stratify on.")
+@click.option("--scheme", default=None, help="Scheme to stratify on.")
 @click.option("--train", "train_n", type=int, default=500, show_default=True,
               help="Training documents per group.")
 @click.option("--test", "test_n", type=int, default=100, show_default=True,
               help="Testing documents per group.")
-def sample(config_path, seed, out, annotations, scheme_name, train_n, test_n):
+@_guarded
+def sample(train_n, test_n, **_):
     """Draw disjoint train/test document samples, equally sized per group."""
-
-    def body():
-        cfg = _effective_config(config_path, seed, out, annotations=annotations)
-        name = scheme_name or (cfg.eval_schemes[0] if cfg.eval_schemes else None)
-        if name is None:
-            if len(cfg.schemes) != 1:
-                raise ConfigError("pass --scheme to pick the sampling scheme")
-            name = cfg.schemes[0].name
-        with _config_errors("--train or --test"):
-            plan = SamplePlan(name, train_n, test_n, seed=cfg.seed)
-        table = _load_table(cfg, cfg.annotations, "human")
-        train, test = stratified_sample(table, plan)
-        _write_outputs(
-            cfg.out,
-            {
-                "train.txt": "".join(f"{d}\n" for d in sorted(train)),
-                "test.txt": "".join(f"{d}\n" for d in sorted(test)),
-            },
-        )
-        click.echo(f"sampled {len(train)} train / {len(test)} test ids -> {cfg.out}")
-
-    _guarded(body)
+    cfg = _effective_config()
+    names = _eval_scheme_names(cfg)
+    if len(names) != 1 and not cfg.eval_schemes:
+        raise ConfigError("pass --scheme to pick the sampling scheme")
+    with _config_errors("--train or --test"):
+        plan = SamplePlan(names[0], train_n, test_n, seed=cfg.seed)
+    table = _load_table(cfg, cfg.annotations, "human")
+    train, test = stratified_sample(table, plan)
+    _write_outputs(
+        cfg.out,
+        {
+            "train.txt": "".join(f"{d}\n" for d in sorted(train)),
+            "test.txt": "".join(f"{d}\n" for d in sorted(test)),
+        },
+    )
+    click.echo(f"sampled {len(train)} train / {len(test)} test ids -> {cfg.out}")
 
 
 @main.command("gen-testbed")
@@ -609,46 +619,30 @@ def sample(config_path, seed, out, annotations, scheme_name, train_n, test_n):
 @click.option("--groups", type=int, default=None)
 @click.option("--systems", type=int, default=None)
 @click.option("--spread", type=float, default=None)
-@click.option("--grade-probs", default=None, help="Comma-separated grade probabilities.")
-def gen_testbed(config_path, seed, out, queries, docs, groups, systems, spread, grade_probs):
+@click.option("--grade-probs", default=None, callback=_comma_list,
+              help="Comma-separated grade probabilities.")
+@_guarded
+def gen_testbed(**_):
     """Generate a synthetic testbed and write its annotation/qrels/run files."""
-
-    def body():
-        cfg = _effective_config(config_path, seed, out)
-        base = cfg.testbed or TestbedConfig(seed=cfg.seed)
-        flags = (
-            ("--queries", "n_queries", queries),
-            ("--docs", "docs_per_query", docs),
-            ("--groups", "n_groups", groups),
-            ("--systems", "n_systems", systems),
-            ("--spread", "spread", spread),
-            ("--grade-probs", "grade_probs", grade_probs),
-            ("--seed", "seed", seed),
-        )
-        # one field at a time, so that an error names the flag that caused it
-        for flag, field, value in flags:
-            if value is not None:
-                with _config_errors(flag):
-                    if field == "grade_probs":
-                        value = tuple(float(p) for p in value.split(","))
-                    base = replace(base, **{field: value})
-        testbed = generate_testbed(base)
-        scheme = testbed.table.scheme(testbed.scheme_name)
-        scheme_obj = {"name": scheme.name, "groups": list(scheme.groups), "unknown": None}
-        _write_outputs(
-            cfg.out,
-            {
-                "annotations.tsv": write_annotations(testbed.table),
-                "qrels.txt": write_qrels(testbed.qrels),
-                "runs.txt": write_run(testbed.runset),
-                "scheme.json": json.dumps(scheme_obj, indent=2) + "\n",
-            },
-        )
-        click.echo(
-            f"generated testbed ({base.n_queries} queries, {base.n_systems} systems) -> {cfg.out}"
-        )
-
-    _guarded(body)
+    # here --seed seeds the testbed, whatever its config section says
+    cfg = _effective_config({**_FLAG_KEYS, "--seed": "testbed.seed"})
+    testbed_config = cfg.testbed or TestbedConfig(seed=cfg.seed)
+    testbed = generate_testbed(testbed_config)
+    scheme = testbed.table.scheme(testbed.scheme_name)
+    scheme_obj = {"name": scheme.name, "groups": list(scheme.groups), "unknown": None}
+    _write_outputs(
+        cfg.out,
+        {
+            "annotations.tsv": write_annotations(testbed.table),
+            "qrels.txt": write_qrels(testbed.qrels),
+            "runs.txt": write_run(testbed.runset),
+            "scheme.json": json.dumps(scheme_obj, indent=2) + "\n",
+        },
+    )
+    click.echo(
+        f"generated testbed ({testbed_config.n_queries} queries, "
+        f"{testbed_config.n_systems} systems) -> {cfg.out}"
+    )
 
 
 @main.command()
@@ -659,54 +653,51 @@ def gen_testbed(config_path, seed, out, queries, docs, groups, systems, spread, 
 @click.option("--rate", type=float, default=None, help="Price per 1M tokens (overrides preset).")
 @click.option("--fixed", type=float, default=None, help="Fixed cost, e.g. fine-tuning.")
 @click.option("--json", "as_json", is_flag=True, default=False, help="Machine-readable output.")
+@_guarded
 def cost(n_docs, model, tokens, rate, fixed, as_json):
     """Estimate the price of annotating a corpus with a priced model."""
-
-    def body():
-        rates = default_cost_rates()
-        if rate is None:
-            try:
-                preset = rates["models"][model]
-            except KeyError:
-                raise ConfigError(
-                    f"unknown model {model!r}; known: {sorted(rates['models'])}"
-                ) from None
-            rate_value = preset["rate_per_million_tokens"]
-            fixed_value = preset["fixed_cost"] if fixed is None else fixed
-        else:
-            rate_value = rate
-            fixed_value = 0.0 if fixed is None else fixed
-        tokens_value = rates["tokens_per_doc"] if tokens is None else tokens
-        with _config_errors("--docs, --tokens, --rate or --fixed"):
-            variable = annotation_cost(n_docs, tokens_value, rate_value, 0.0)
-            total = annotation_cost(n_docs, tokens_value, rate_value, fixed_value)
-        if as_json:
-            click.echo(
-                json.dumps(
-                    {
-                        "model": model if rate is None else None,
-                        "docs": n_docs,
-                        "tokens_per_doc": tokens_value,
-                        "rate_per_million_tokens": rate_value,
-                        "fixed_cost": fixed_value,
-                        "variable_cost": variable,
-                        "total": total,
-                    },
-                    indent=2,
-                    sort_keys=True,
-                )
+    rates = default_cost_rates()
+    if rate is None:
+        try:
+            preset = rates["models"][model]
+        except KeyError:
+            raise ConfigError(
+                f"unknown model {model!r}; known: {sorted(rates['models'])}"
+            ) from None
+        rate_value = preset["rate_per_million_tokens"]
+        fixed_value = preset["fixed_cost"] if fixed is None else fixed
+    else:
+        rate_value = rate
+        fixed_value = 0.0 if fixed is None else fixed
+    tokens_value = rates["tokens_per_doc"] if tokens is None else tokens
+    with _config_errors("--docs, --tokens, --rate or --fixed"):
+        variable = annotation_cost(n_docs, tokens_value, rate_value, 0.0)
+        total = annotation_cost(n_docs, tokens_value, rate_value, fixed_value)
+    if as_json:
+        click.echo(
+            json.dumps(
+                {
+                    "model": model if rate is None else None,
+                    "docs": n_docs,
+                    "tokens_per_doc": tokens_value,
+                    "rate_per_million_tokens": rate_value,
+                    "fixed_cost": fixed_value,
+                    "variable_cost": variable,
+                    "total": total,
+                },
+                indent=2,
+                sort_keys=True,
             )
-        else:
-            if rate is None:
-                click.echo(f"model: {model}")
-            click.echo(f"documents: {n_docs:g}")
-            click.echo(f"tokens per document: {tokens_value:g}")
-            click.echo(f"rate: ${rate_value:g} per 1M tokens")
-            click.echo(f"variable cost: ${variable!r}")
-            click.echo(f"fixed cost: ${fixed_value!r}")
-            click.echo(f"total: ${total!r}")
-
-    _guarded(body)
+        )
+    else:
+        if rate is None:
+            click.echo(f"model: {model}")
+        click.echo(f"documents: {n_docs:g}")
+        click.echo(f"tokens per document: {tokens_value:g}")
+        click.echo(f"rate: ${rate_value:g} per 1M tokens")
+        click.echo(f"variable cost: ${variable!r}")
+        click.echo(f"fixed cost: ${fixed_value!r}")
+        click.echo(f"total: ${total!r}")
 
 
 if __name__ == "__main__":

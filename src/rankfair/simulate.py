@@ -490,8 +490,9 @@ def annotation_cost(
     fixed_cost: float = 0.0,
 ) -> float:
     """Price of annotating a corpus with a per-token-priced model."""
-    if min(n_docs, tokens_per_doc, rate_per_million_tokens, fixed_cost) < 0:
-        raise ValueError("cost inputs must be non-negative")
+    inputs = (n_docs, tokens_per_doc, rate_per_million_tokens, fixed_cost)
+    if not all(math.isfinite(x) and x >= 0 for x in inputs):
+        raise ValueError("cost inputs must be finite and non-negative")
     return n_docs * tokens_per_doc * rate_per_million_tokens / 1e6 + fixed_cost
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from rankfair.cli import _write_outputs, main
+from rankfair.cli import _FLAG_KEYS, _write_outputs, load_config, main
 from rankfair.ingest import parse_annotations, parse_qrels, parse_run
 from rankfair.core import GroupScheme
 
@@ -502,6 +502,26 @@ BAD_INPUTS = [
     (["gen-testbed"], {"testbed": {"spread": None}}, "'testbed.spread'"),
     (["gen-testbed"], {"testbed": {"grade_probs": 5}}, "'testbed.grade_probs'"),
     (["gen-testbed"], {"testbed": {"seed": "q"}}, "'testbed.seed'"),
+    (["evaluate"], {"complement": "no"}, "'complement'"),
+    (["evaluate"], {"include_overall": "false"}, "'include_overall'"),
+    (["evaluate"], {"schemes": 5}, "'schemes'"),
+    (["evaluate"], {"runs": 5}, "'runs'"),
+    (["evaluate"], {"eval_schemes": 7}, "'eval_schemes'"),
+    (["evaluate"], {"annotations": 0}, "'annotations'"),
+    (["evaluate"], {"qrels": 5}, "'qrels'"),
+    (["evaluate"], {"target_mode": "grade"}, "'target_mode'"),
+    (["evaluate"], {"eval_schemes": "group"}, "'eval_schemes'"),
+    (["evaluate"], {"annotation_format": "csv"}, "'annotation_format'"),
+    (["sweep"], {"sweep": {"style": 5}}, "'sweep.style'"),
+    (["sweep"], {"sweep": {"trails": 1}}, "'sweep.trails'"),
+    (["evaluate"], {"attention": {"patinece": 0.9}}, "'attention.patinece'"),
+    (["gen-testbed"], {"seed": 1.7}, "'seed'"),
+    (["gen-testbed"], {"seed": True}, "'seed'"),
+    (["cost", "--docs", "nan"], {}, "--docs"),
+    (["cost", "--docs", "inf"], {}, "--docs"),
+    (["cost", "--docs", "10", "--tokens", "nan"], {}, "--tokens"),
+    (["sample", "--scheme", "nope"], {}, "--scheme"),
+    (["evaluate", "--patience", "nan"], {}, "--patience"),
 ]
 
 
@@ -522,3 +542,78 @@ def test_bad_input_is_one_named_error_line(tmp_path, args, changes, name):
     assert len(lines) == 1 and lines[0].startswith("Error: ConfigError: "), result.output
     assert name in lines[0]
     assert not (tmp_path / "out").exists()
+
+
+# a value for every flag, as click passes it to the command
+FLAG_VALUES = {
+    "--seed": 7, "--out": "elsewhere", "--runs": ("a.txt", "b.txt"), "--qrels": "q.txt",
+    "--annotations": "h.tsv", "--annotations-b": "m.tsv", "--scheme": ("pair",),
+    "--divergence": "kl", "--patience": 0.8, "--cutoff": 20, "--target": "uniform",
+    "--target-mode": "graded", "--fallback": "reject", "--complement": True,
+    "--exclude-missing": True, "--levels": ["0.5", "1.0"], "--trials": 2, "--workers": 3,
+    "--style": "biased", "--queries": 3, "--docs": 20, "--groups": 3, "--systems": 4,
+    "--spread": 0.5, "--grade-probs": ["0.5", "0.5"],
+}
+SCHEMES = {"schemes": [{"name": "pair", "groups": ["g0", "g1"]}]}
+
+
+def write_config(tmp_path, config, name="config.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+def test_every_flag_has_a_value():
+    assert set(FLAG_VALUES) == set(_FLAG_KEYS)
+
+
+@pytest.mark.parametrize("flag", sorted(_FLAG_KEYS))
+def test_flag_and_its_config_key_give_the_same_config(tmp_path, flag):
+    value = FLAG_VALUES[flag]
+    section, _, key = _FLAG_KEYS[flag].rpartition(".")
+    by_key = {**SCHEMES, **({section: {key: value}} if section else {key: value})}
+    base = write_config(tmp_path, SCHEMES, "base.json")
+    cfg = load_config(write_config(tmp_path, by_key))
+    assert load_config(base, {flag: value}) == cfg != load_config(base)
+
+
+def test_every_option_of_a_config_command_is_in_the_flag_table():
+    # an option missing from the table would be read by click and then ignored
+    own = {"config_path", "train_n", "test_n"}
+    for command in ("evaluate", "compare", "sweep", "sample", "gen-testbed"):
+        for param in main.commands[command].params:
+            assert param.name in own or param.opts[0] in _FLAG_KEYS, (command, param.opts)
+
+
+class TestSeedRules:
+    TESTBED = {"queries": 3, "docs_per_query": 20, "groups": 3, "systems": 4}
+
+    def test_testbed_section_without_seed_takes_the_config_seed(self, tmp_path):
+        path = write_config(tmp_path, {"seed": 5, "testbed": self.TESTBED})
+        assert load_config(path).testbed.seed == 5
+        assert load_config(write_config(tmp_path, {"testbed": self.TESTBED})).testbed.seed == 0
+
+    def test_sweep_seed_flag_leaves_the_testbed_seed(self, tmp_path):
+        path = write_config(tmp_path, {"seed": 5, "testbed": self.TESTBED})
+        cfg = load_config(path, {"--seed": 9})
+        assert (cfg.seed, cfg.testbed.seed) == (9, 5)
+        seeded = write_config(tmp_path, {"seed": 5, "testbed": {**self.TESTBED, "seed": 3}})
+        cfg = load_config(seeded, {"--seed": 9})
+        assert (cfg.seed, cfg.testbed.seed) == (9, 3)
+
+    def test_gen_testbed_seed_flag_sets_the_testbed_seed(self, tmp_path):
+        flags = ["--queries", "3", "--docs", "20", "--groups", "3", "--systems", "4"]
+        result = invoke("gen-testbed", *flags, "--seed", "7", "--out", str(tmp_path / "a"))
+        assert result.exit_code == 0
+        config = {"seed": 5, "testbed": {**self.TESTBED, "seed": 3}, "out": str(tmp_path / "b")}
+        path = write_config(tmp_path, config)
+        assert invoke("gen-testbed", "--config", path, "--seed", "7").exit_code == 0
+        for name in ("annotations.tsv", "qrels.txt", "runs.txt", "scheme.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_readme_config_example_loads(tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    example = readme.split("A typical config:", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    cfg = load_config(write_config(tmp_path, json.loads(example)))
+    assert cfg.schemes[0].name == "gender" and cfg.testbed is not None

@@ -312,3 +312,11 @@ class TestAnnotationCost:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             annotation_cost(-1, 512, 0.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("position", range(4))
+    def test_non_finite_rejected(self, bad, position):
+        inputs = [1000, 512, 0.5, 0.0]
+        inputs[position] = bad
+        with pytest.raises(ValueError, match="finite"):
+            annotation_cost(*inputs)

@@ -6,7 +6,7 @@ Every ``.csv`` and ``.json`` file present in either directory must be in
 both, with the same structure and text; numbers may differ by at most
 ``--tol`` (absolute). Prints the largest difference per file and exits 1
 when a file is missing, differs in structure or text, or exceeds the
-tolerance.
+tolerance, and when neither directory holds a ``.csv`` or ``.json`` file.
 """
 
 from __future__ import annotations
@@ -83,6 +83,9 @@ def main(argv=None) -> int:
     names = sorted(
         {p.name for d in (args.dir_a, args.dir_b) for p in d.iterdir() if p.suffix in (".csv", ".json")}
     )
+    if not names:
+        print(f"no .csv or .json file in {args.dir_a} or {args.dir_b}")
+        return 1
     failed = False
     for name in names:
         a, b = args.dir_a / name, args.dir_b / name
