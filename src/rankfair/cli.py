@@ -22,7 +22,7 @@ from typing import IO, Iterator, Mapping, get_type_hints
 import click
 
 from .core import GroupScheme, MissingPolicy, Qrels, RunSet
-from .errors import ConfigError, RankfairError
+from .errors import ConfigError, InvalidPatience, RankfairError
 from .exposure import DEFAULT_ATTENTION, AttentionModel, ExposureVector
 from .ingest import (
     SamplePlan,
@@ -70,11 +70,12 @@ _CONFUSION_STYLES = ("uniform", "biased")
 
 @contextmanager
 def _config_errors(name: str) -> Iterator[None]:
-    """Re-raise a ``ValueError`` from building a config object as a
-    ``ConfigError`` that names the flag or config key it came from."""
+    """Re-raise a ``ValueError`` or ``InvalidPatience`` from building a
+    config object as a ``ConfigError`` that names the flag or config key it
+    came from."""
     try:
         yield
-    except ValueError as exc:
+    except (ValueError, InvalidPatience) as exc:
         raise ConfigError(f"{name}: {exc}") from None
 
 
@@ -126,16 +127,22 @@ def _numbers(value, name: str) -> tuple[float, ...]:
 
 
 def _scheme_from_obj(obj, name: str) -> GroupScheme:
-    try:
-        scheme = obj["name"]
-        groups = tuple(str(g) for g in obj["groups"])
-    except (KeyError, TypeError):
-        raise ConfigError(f"{name}: scheme entries need 'name' and 'groups'") from None
+    if not isinstance(obj, Mapping) or not {"name", "groups"} <= obj.keys():
+        raise ConfigError(f"{name}: scheme entries need 'name' and 'groups'")
+    extra = sorted(obj.keys() - {"name", "groups", "unknown"})
+    if extra:
+        raise ConfigError(f"{name}: unknown scheme keys {extra}")
+    scheme = _string(obj["name"], f"{name}, scheme name")
+    groups = obj["groups"]
+    if not isinstance(groups, list) or not all(isinstance(g, str) for g in groups):
+        raise ConfigError(f"{name}, scheme {scheme!r}: groups must be a list of strings, got {groups!r}")
     unknown = obj.get("unknown")  # a label, or its index
-    if unknown is not None and not isinstance(unknown, int):
+    if isinstance(unknown, str):
         if unknown not in groups:
             raise ConfigError(f"{name}: unknown label {unknown!r} not in scheme {scheme!r}")
         unknown = groups.index(unknown)
+    elif unknown is not None:
+        unknown = _integer(unknown, f"{name}, scheme {scheme!r} unknown")
     with _config_errors(f"{name}, scheme {scheme!r}"):
         return GroupScheme(scheme, groups, unknown)
 
@@ -346,14 +353,13 @@ def _load_qrels_if_needed(cfg: ExperimentConfig) -> Qrels | None:
 def _load_explicit_targets(cfg: ExperimentConfig):
     with _input(cfg.target, "target") as fh:
         table = parse_annotations(fh, cfg.schemes, cfg.annotation_format)
-    targets: dict[str, dict[str, ExposureVector]] = {}
-    for name in table.scheme_names:
-        scheme = table.scheme(name)
-        targets[name] = {
-            qid: ExposureVector(scheme, vector.weights, normalized=True)
-            for qid, vector in table.docs(name).items()
+    return {
+        name: {
+            qid: ExposureVector(table.scheme(name), tuple(row), normalized=True)
+            for qid, row in zip(*table.columns(name))
         }
-    return targets
+        for name in table.scheme_names
+    }
 
 
 def _metric_config(cfg: ExperimentConfig) -> MetricConfig:

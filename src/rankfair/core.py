@@ -9,7 +9,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -159,12 +159,11 @@ def fallback_vector(scheme: GroupScheme, policy: MissingPolicy) -> MembershipVec
 
 
 class GroupMembershipTable:
-    """Per-scheme mapping from document id to membership vector.
-
-    Treat instances as immutable: build the full contents up front and never
-    mutate them afterwards. ``provenance`` records where the annotations came
-    from (human, model, or synthetic) and is metadata only; equality compares
-    the membership data.
+    """Per scheme, sorted doc ids and a read-only float64 matrix of their
+    membership rows. :meth:`docs` and :meth:`get` build vectors on demand.
+    ``provenance`` records where the annotations came from (human, model,
+    or synthetic) and is metadata only; equality compares the membership
+    data.
     """
 
     def __init__(
@@ -181,9 +180,9 @@ class GroupMembershipTable:
             if scheme.name in self._schemes:
                 raise ValueError(f"duplicate scheme {scheme.name!r}")
             self._schemes[scheme.name] = scheme
-        self._vectors: dict[str, dict[str, MembershipVector]] = {
-            name: {} for name in self._schemes
-        }
+        self._columns = {name: _sorted_rows(s, (), ()) for name, s in self._schemes.items()}
+        self._indexes: dict[str, dict[str, int]] = {}
+        self._docs: dict[str, dict[str, MembershipVector]] = {}
         for scheme_name, docs in (vectors or {}).items():
             scheme = self.scheme(scheme_name)
             for doc_id, vector in docs.items():
@@ -192,8 +191,22 @@ class GroupMembershipTable:
                         f"vector for doc {doc_id!r} belongs to scheme "
                         f"{vector.scheme.name!r}, not {scheme_name!r}"
                     )
-                self._vectors[scheme_name][doc_id] = vector
-        self._matrices: dict[str, tuple[dict[str, int], np.ndarray]] = {}
+            rows = [v.weights for v in docs.values()]
+            self._columns[scheme_name] = _sorted_rows(scheme, docs, rows)
+
+    @classmethod
+    def from_columns(
+        cls,
+        schemes: Iterable[GroupScheme],
+        columns: Mapping[str, tuple[Sequence[str], np.ndarray]],
+        provenance: str = "human",
+    ) -> "GroupMembershipTable":
+        """A table over ``{scheme name: (doc ids, rows)}``, ids in any order;
+        a scheme left out is empty, and row arrays kept are made read-only."""
+        table = cls(schemes, provenance=provenance)
+        for name, (ids, rows) in columns.items():
+            table._columns[name] = _sorted_rows(table.scheme(name), ids, rows)
+        return table
 
     @property
     def scheme_names(self) -> tuple[str, ...]:
@@ -205,37 +218,60 @@ class GroupMembershipTable:
         except KeyError:
             raise UnknownScheme(f"scheme {name!r} is not registered") from None
 
+    def columns(self, scheme_name: str) -> tuple[tuple[str, ...], np.ndarray]:
+        """The scheme's sorted doc ids and its read-only row matrix."""
+        return self._columns[self.scheme(scheme_name).name]
+
     def docs(self, scheme_name: str) -> Mapping[str, MembershipVector]:
-        self.scheme(scheme_name)
-        return self._vectors[scheme_name]
+        """Doc id -> vector in sorted doc id order; rows with equal bits
+        (so ``-0.0`` is not ``0.0``) share one vector."""
+        if scheme_name not in self._docs:
+            ids, m = self.columns(scheme_name)
+            bits, inverse = np.unique(m.view(np.uint64), axis=0, return_inverse=True)
+            scheme, rows = self._schemes[scheme_name], bits.view(np.float64).tolist()
+            vectors = [MembershipVector(scheme, w) for w in rows]
+            self._docs[scheme_name] = dict(zip(ids, map(vectors.__getitem__, inverse.ravel())))
+        return self._docs[scheme_name]
 
     def get(self, scheme_name: str, doc_id: str) -> MembershipVector | None:
-        return self.docs(scheme_name).get(doc_id)
+        return self.docs(scheme_name)[doc_id] if doc_id in self.matrix(scheme_name)[0] else None
 
     def matrix(self, scheme_name: str) -> tuple[dict[str, int], np.ndarray]:
-        """Docs of one scheme packed as (doc id -> row index, row matrix).
-
-        Rows follow sorted document id order. The result is cached; callers
-        must not modify it.
-        """
-        if scheme_name not in self._matrices:
-            k = self.scheme(scheme_name).k
-            vectors = self._vectors[scheme_name]
-            ids = sorted(vectors)
-            weights = chain.from_iterable(vectors[d].weights for d in ids)
-            m = np.fromiter(weights, dtype=np.float64, count=len(ids) * k).reshape(len(ids), k)
-            m.setflags(write=False)
-            self._matrices[scheme_name] = ({d: i for i, d in enumerate(ids)}, m)
-        return self._matrices[scheme_name]
+        """The scheme's (doc id -> row index, row matrix); the index is built
+        on the first call. Callers must not modify either."""
+        ids, m = self.columns(scheme_name)
+        if scheme_name not in self._indexes:
+            self._indexes[scheme_name] = {d: i for i, d in enumerate(ids)}
+        return self._indexes[scheme_name], m
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GroupMembershipTable):
             return NotImplemented
-        return self._schemes == other._schemes and self._vectors == other._vectors
+        return self._schemes == other._schemes and all(
+            ids == other._columns[n][0] and np.array_equal(m, other._columns[n][1])
+            for n, (ids, m) in self._columns.items()
+        )
 
     def __repr__(self) -> str:
-        sizes = {name: len(docs) for name, docs in self._vectors.items()}
+        sizes = {name: len(ids) for name, (ids, _) in self._columns.items()}
         return f"GroupMembershipTable(provenance={self.provenance!r}, docs={sizes})"
+
+
+def _sorted_rows(scheme: GroupScheme, ids, rows) -> tuple[tuple[str, ...], np.ndarray]:
+    """One scheme's checked ``(ids, rows)``, in sorted doc id order."""
+    ids, m = list(ids), np.asarray(rows, dtype=np.float64)
+    m = m if ids else m.reshape(0, scheme.k)
+    if m.shape != (len(ids), scheme.k):
+        raise LengthMismatch(f"need {len(ids)} rows of {scheme.k} weights for {scheme.name!r}")
+    if ids != sorted(ids):
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        ids, m = [ids[i] for i in order], m[order]
+    bad = ~np.isfinite(m).all(axis=1) | (m < 0).any(axis=1) | (abs(m.sum(axis=1) - 1) > SUM_TOL)
+    if len(set(ids)) < len(ids) or bad.any():
+        raise ValueError(f"scheme {scheme.name!r} needs distinct doc ids and rows of finite, "
+                         "non-negative weights that sum to one")
+    m.setflags(write=False)
+    return tuple(ids), m
 
 
 def membership_of(
@@ -286,33 +322,36 @@ def intersect_tables(
     fallback: MissingPolicy = MissingPolicy.REJECT,
     name: str = "overall",
 ) -> GroupMembershipTable:
-    """Table over the product of several schemes, one vector per document.
+    """Table over the product of several schemes, one row per document.
 
     Covers the union of the schemes' document sets; a document missing from
-    one side is resolved with ``fallback`` before intersecting.
+    one side is resolved with ``fallback`` before intersecting. Each row is
+    the fold of :func:`intersect_schemes` over the document's rows.
     """
     if len(scheme_names) < 2:
         raise ValueError("intersection needs at least two schemes")
     schemes = [table.scheme(n) for n in scheme_names]
-    joint = _fold_product(schemes)
-    renamed = GroupScheme(name, joint.groups, joint.unknown_index)
-    doc_ids = set()
-    for n in scheme_names:
-        doc_ids.update(table.docs(n))
-    combined: dict[str, MembershipVector] = {}
-    for doc_id in sorted(doc_ids):
-        vector = membership_of(table, doc_id, schemes[0], fallback)
-        for scheme in schemes[1:]:
-            vector = intersect_schemes(vector, membership_of(table, doc_id, scheme, fallback))
-        combined[doc_id] = MembershipVector(renamed, vector.weights)
-    return GroupMembershipTable([renamed], {name: combined}, provenance=table.provenance)
-
-
-def _fold_product(schemes: Sequence[GroupScheme]) -> GroupScheme:
-    joint = schemes[0]
-    for scheme in schemes[1:]:
+    ids = list(dict.fromkeys(sorted(chain.from_iterable(table.columns(n)[0] for n in scheme_names))))
+    parts = []  # (a scheme's matrix with its fallback row last, each doc's row in it)
+    for scheme in schemes:
+        index, m = table.matrix(scheme.name)
+        rows = np.fromiter(map(index.get, ids, repeat(len(m))), np.intp, len(ids))
+        parts.append((np.vstack([m, np.full(scheme.k, np.nan)]), rows))
+    # resolve misses in the order a document-by-document pass meets them
+    for at, i in sorted((int(np.argmax(rows)), i) for i, (_, rows) in enumerate(parts) if ids):
+        members, rows = parts[i]
+        if rows[at] == len(members) - 1:
+            members[-1] = membership_of(table, ids[at], schemes[i], fallback).weights
+    joint, product = schemes[0], np.take(*parts[0], axis=0)
+    for scheme, (members, rows) in zip(schemes[1:], parts[1:]):
         joint = product_scheme(joint, scheme)
-    return joint
+        part = np.take(members, rows, axis=0)
+        product = (product[:, :, None] * part[:, None, :]).reshape(len(ids), joint.k)
+        # np.sum is within 1e-15 of the exact sum that normalize() tests
+        for i in np.flatnonzero(abs(product.sum(axis=1) - 1.0) > SUM_TOL / 2).tolist():
+            product[i] = normalize(product[i].tolist(), joint).weights
+    renamed = GroupScheme(name, joint.groups, joint.unknown_index)
+    return GroupMembershipTable.from_columns([renamed], {name: (ids, product)}, table.provenance)
 
 
 @dataclass(frozen=True)

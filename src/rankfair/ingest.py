@@ -312,15 +312,15 @@ def parse_annotations(
     TSV rows are ``<docid>\\t<scheme>\\t<label>:<weight>[,<label>:<weight>...]``;
     JSONL rows are ``{"doc": ..., "scheme": ..., "weights": {label: weight}}``.
     Weights must be finite; they are normalized per document, and labels not
-    listed get weight zero. TSV rows with the same scheme and weight text
-    share one immutable vector, built and checked the first time that text
-    is seen; a text is remembered only once it has passed its checks.
+    listed get weight zero. A TSV weight text is parsed and checked once per
+    scheme, the first time it is seen; a text is remembered only once it has
+    passed its checks.
     """
     if format not in ("tsv", "jsonl"):
         raise ValueError(f"unknown annotation format {format!r}")
     by_name = {s.name: s for s in schemes}
-    vectors: dict[str, dict[str, MembershipVector]] = {n: {} for n in by_name}
-    seen: dict[tuple[str, str], MembershipVector] = {}
+    rows: dict[str, dict[str, tuple[float, ...]]] = {n: {} for n in by_name}
+    seen: dict[tuple[str, str], tuple[float, ...]] = {}
     for number, line in _lines(source):
         if not line.strip():
             continue
@@ -331,21 +331,23 @@ def parse_annotations(
                     f"expected 3 tab-separated fields, got {len(fields)}", line=number
                 )
             doc_id, scheme, weight_spec = fields
-            vector = seen.get((scheme, weight_spec))
-            if vector is None:
+            weights = seen.get((scheme, weight_spec))
+            if weights is None:
                 record = AnnotationRecord(doc_id, scheme, _parse_weight_spec(weight_spec, number))
-                vector = seen[scheme, weight_spec] = _record_to_vector(record, by_name, number)
+                vector = _record_to_vector(record, by_name, number)
+                weights = seen[scheme, weight_spec] = vector.weights
         else:
             record = _parse_jsonl_record(line, number)
             doc_id, scheme = record.doc_id, record.scheme
-            vector = _record_to_vector(record, by_name, number)
-        per_scheme = vectors[scheme]
+            weights = _record_to_vector(record, by_name, number).weights
+        per_scheme = rows[scheme]
         if doc_id in per_scheme:
             raise DuplicateDocument(
                 f"doc {doc_id!r} repeated for scheme {scheme!r}", line=number
             )
-        per_scheme[doc_id] = vector
-    return GroupMembershipTable(schemes, vectors, provenance=provenance)
+        per_scheme[doc_id] = weights
+    columns = {name: (list(docs), list(docs.values())) for name, docs in rows.items()}
+    return GroupMembershipTable.from_columns(schemes, columns, provenance=provenance)
 
 
 def write_annotations(table: GroupMembershipTable, format: str = "tsv") -> str:
@@ -357,14 +359,10 @@ def write_annotations(table: GroupMembershipTable, format: str = "tsv") -> str:
         raise ValueError(f"unknown annotation format {format!r}")
     out = []
     for scheme_name in table.scheme_names:
-        scheme = table.scheme(scheme_name)
-        docs = table.docs(scheme_name)
-        for doc_id in sorted(docs):
-            pairs = [
-                (label, weight)
-                for label, weight in zip(scheme.groups, docs[doc_id].weights)
-                if weight != 0.0
-            ]
+        groups = table.scheme(scheme_name).groups
+        ids, m = table.columns(scheme_name)
+        for doc_id, weights in zip(ids, m.tolist()):
+            pairs = [(label, weight) for label, weight in zip(groups, weights) if weight != 0.0]
             if format == "tsv":
                 spec = ",".join(f"{label}:{weight!r}" for label, weight in pairs)
                 out.append(f"{doc_id}\t{scheme_name}\t{spec}\n")
@@ -400,10 +398,9 @@ def stratified_sample(
     The draw is a pure function of the plan's seed.
     """
     scheme = table.scheme(plan.scheme)
-    docs = table.docs(plan.scheme)
-    by_group: list[list[str]] = [[] for _ in range(scheme.k)]
-    for doc_id in sorted(docs):
-        by_group[docs[doc_id].argmax()].append(doc_id)
+    ids, m = table.columns(plan.scheme)
+    labels = np.argmax(m, axis=1)  # ties go to the lowest index
+    by_group = [[ids[i] for i in np.flatnonzero(labels == g).tolist()] for g in range(scheme.k)]
     need = plan.train_per_group + plan.test_per_group
     rng = np.random.default_rng(plan.seed)
     train: set[str] = set()

@@ -7,7 +7,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -430,26 +430,40 @@ def evaluate_runset(
 # --- serialization -----------------------------------------------------------------
 
 
+def csv_text(columns: Sequence[str], records: Iterable[Mapping]) -> str:
+    """One header line, then one line per record of its ``columns``; a cell
+    is ``str(value)``, and booleans are ``true`` or ``false``."""
+    lines = [columns] + [[_cell(record[c]) for c in columns] for record in records]
+    return "".join(",".join(line) + "\n" for line in lines)
+
+
+def _cell(value) -> str:
+    return str(value).lower() if isinstance(value, bool) else str(value)
+
+
+def json_text(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def reports_to_csv(reports: Mapping[str, MetricReport]) -> str:
     """Per-query rows as ``system,query,metric,value``."""
-    lines = ["system,query,metric,value\n"]
-    for system_tag in sorted(reports):
-        report = reports[system_tag]
-        for query_id in report.queries:
-            row = report.per_query[query_id]
-            for metric in sorted(row):
-                lines.append(f"{system_tag},{query_id},{metric},{row[metric]!r}\n")
-    return "".join(lines)
+    records = (
+        {"system": system_tag, "query": q, "metric": metric, "value": value}
+        for system_tag in sorted(reports)
+        for q in reports[system_tag].queries
+        for metric, value in sorted(reports[system_tag].per_query[q].items())
+    )
+    return csv_text(("system", "query", "metric", "value"), records)
 
 
 def aggregates_to_csv(reports: Mapping[str, MetricReport]) -> str:
     """System-level rows as ``system,metric,value`` (mean over queries)."""
-    lines = ["system,metric,value\n"]
-    for system_tag in sorted(reports):
-        report = reports[system_tag]
-        for metric in report.metrics:
-            lines.append(f"{system_tag},{metric},{report.aggregates[metric]!r}\n")
-    return "".join(lines)
+    records = (
+        {"system": system_tag, "metric": metric, "value": reports[system_tag].aggregates[metric]}
+        for system_tag in sorted(reports)
+        for metric in reports[system_tag].metrics
+    )
+    return csv_text(("system", "metric", "value"), records)
 
 
 def reports_to_json(reports: Mapping[str, MetricReport]) -> str:
@@ -461,4 +475,4 @@ def reports_to_json(reports: Mapping[str, MetricReport]) -> str:
         }
         for system_tag, report in reports.items()
     }
-    return json.dumps({"systems": payload}, indent=2, sort_keys=True) + "\n"
+    return json_text({"systems": payload})

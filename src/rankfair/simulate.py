@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -21,13 +21,11 @@ import numpy as np
 from .core import (
     GroupMembershipTable,
     GroupScheme,
-    MembershipVector,
     Qrels,
     RunSet,
-    one_hot,
 )
 from .errors import AccuracyOutOfRange, ConfigError, ConstantInput
-from .metrics import CompiledEvaluation, MetricConfig
+from .metrics import CompiledEvaluation, MetricConfig, csv_text, json_text
 from .stats import ALPHA, CorrelationResult, pearson, spearman
 
 
@@ -153,17 +151,11 @@ def apply_confusion(
     """
     if mode not in ("hard", "soft"):
         raise ValueError(f"unknown corruption mode {mode!r}")
-    scheme = matrix.scheme
-    index, stored = table.matrix(scheme.name)
-    ids = sorted(index, key=index.get)
-    new_rows = _corrupted_rows(stored, ids, matrix, seed, mode)
-    corrupted = {
-        doc_id: MembershipVector(scheme, row) for doc_id, row in zip(ids, new_rows.tolist())
-    }
-    vectors = {name: dict(table.docs(name)) for name in table.scheme_names}
-    vectors[scheme.name] = corrupted
-    all_schemes = [table.scheme(name) for name in table.scheme_names]
-    return GroupMembershipTable(all_schemes, vectors, provenance="synthetic")
+    columns = {name: table.columns(name) for name in table.scheme_names}
+    ids, stored = table.columns(matrix.scheme.name)
+    columns[matrix.scheme.name] = (ids, _corrupted_rows(stored, ids, matrix, seed, mode))
+    schemes = map(table.scheme, table.scheme_names)
+    return GroupMembershipTable.from_columns(schemes, columns, provenance="synthetic")
 
 
 # --- synthetic testbeds ---------------------------------------------------------------
@@ -228,8 +220,7 @@ def generate_testbed(config: TestbedConfig) -> Testbed:
         ]
     else:
         lambdas = [0.0]
-    hots = [one_hot(scheme, g) for g in range(k)]
-    vectors: dict[str, MembershipVector] = {}
+    labels: list[np.ndarray] = []
     judgments: dict[str, dict[str, int]] = {}
     vocabulary: list[str] = []
     codes: list[np.ndarray] = []
@@ -240,8 +231,7 @@ def generate_testbed(config: TestbedConfig) -> Testbed:
         doc_ids = [f"{qid}_d{di:04d}" for di in range(n)]
         groups = rng.integers(0, k, size=n)
         grades = rng.choice(len(config.grade_probs), size=n, p=config.grade_probs)
-        for doc_id, g in zip(doc_ids, groups.tolist()):
-            vectors[doc_id] = hots[g]
+        labels.append(groups)
         judgments[qid] = {doc_id: int(g) for doc_id, g in zip(doc_ids, grades)}
 
         perm = rng.permutation(n)
@@ -277,7 +267,8 @@ def generate_testbed(config: TestbedConfig) -> Testbed:
         vocabulary.extend(doc_ids)
     scores = np.tile(np.arange(n, 0, -1, dtype=np.float64), len(codes))
     runset = RunSet.from_columns(vocabulary, np.concatenate(codes), scores, spans)
-    table = GroupMembershipTable([scheme], {scheme.name: vectors}, provenance="synthetic")
+    columns = {scheme.name: (vocabulary, np.eye(k)[np.concatenate(labels)])}
+    table = GroupMembershipTable.from_columns([scheme], columns, provenance="synthetic")
     return Testbed(table, Qrels(judgments), runset)
 
 
@@ -363,8 +354,7 @@ def accuracy_sweep(
     evaluation = CompiledEvaluation(runset, qrels, table, scheme, config)
     if not evaluation.queries:
         raise ConfigError("the sweep has no evaluation queries")
-    index, stored = table.matrix(scheme_name)
-    ids = sorted(index, key=index.get)
+    ids, stored = table.columns(scheme_name)
     truth = evaluation.scores(stored)
     truth_sys = _system_means(truth)
 
@@ -424,60 +414,40 @@ def _system_means(scores: np.ndarray) -> np.ndarray:
     return np.array([math.fsum(row) / len(row) for row in scores.tolist()])
 
 
+def _trial_record(t: SweepTrial) -> dict:
+    return {
+        "accuracy": t.accuracy,
+        "trial": t.trial,
+        "pearson_r": t.pearson.coefficient,
+        "pearson_p": t.pearson.p_value,
+        "spearman_rho": t.spearman.coefficient,
+        "spearman_p": t.spearman.p_value,
+        "n_systems": t.pearson.n,
+        "query_r_mean": t.query_r_mean,
+        "query_r_min": t.query_r_min,
+        "query_r_max": t.query_r_max,
+        "query_frac_significant": t.query_frac_significant,
+        "query_count": t.query_count,
+        "query_skipped": t.query_skipped,
+    }
+
+
 def sweep_trials_to_csv(result: SweepResult) -> str:
-    lines = ["accuracy,trial,pearson_r,pearson_p,spearman_rho,spearman_p\n"]
-    for t in result.trials:
-        lines.append(
-            f"{t.accuracy!r},{t.trial},{t.pearson.coefficient!r},{t.pearson.p_value!r},"
-            f"{t.spearman.coefficient!r},{t.spearman.p_value!r}\n"
-        )
-    return "".join(lines)
+    columns = ("accuracy", "trial", "pearson_r", "pearson_p", "spearman_rho", "spearman_p")
+    return csv_text(columns, map(_trial_record, result.trials))
 
 
 def sweep_summary_to_csv(result: SweepResult) -> str:
     """Trial means per accuracy level; plot-ready (x=accuracy, y=mean r)."""
-    lines = ["accuracy,pearson_r,spearman_rho,query_r_mean,query_frac_significant\n"]
-    for s in result.summary:
-        lines.append(
-            f"{s.accuracy!r},{s.pearson_r!r},{s.spearman_rho!r},"
-            f"{s.query_r_mean!r},{s.query_frac_significant!r}\n"
-        )
-    return "".join(lines)
+    return csv_text([f.name for f in fields(SweepLevel)], map(asdict, result.summary))
 
 
 def sweep_to_json(result: SweepResult) -> str:
-    payload = {
+    return json_text({
         "levels": list(result.levels),
-        "trials": [
-            {
-                "accuracy": t.accuracy,
-                "trial": t.trial,
-                "pearson_r": t.pearson.coefficient,
-                "pearson_p": t.pearson.p_value,
-                "spearman_rho": t.spearman.coefficient,
-                "spearman_p": t.spearman.p_value,
-                "n_systems": t.pearson.n,
-                "query_r_mean": t.query_r_mean,
-                "query_r_min": t.query_r_min,
-                "query_r_max": t.query_r_max,
-                "query_frac_significant": t.query_frac_significant,
-                "query_count": t.query_count,
-                "query_skipped": t.query_skipped,
-            }
-            for t in result.trials
-        ],
-        "summary": [
-            {
-                "accuracy": s.accuracy,
-                "pearson_r": s.pearson_r,
-                "spearman_rho": s.spearman_rho,
-                "query_r_mean": s.query_r_mean,
-                "query_frac_significant": s.query_frac_significant,
-            }
-            for s in result.summary
-        ],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        "trials": [_trial_record(t) for t in result.trials],
+        "summary": [asdict(s) for s in result.summary],
+    })
 
 
 # --- annotation cost --------------------------------------------------------------------

@@ -5,7 +5,6 @@ reports comparing metric scores under two annotation sources.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -20,7 +19,7 @@ from .errors import (
     SystemSetMismatch,
     TooFewSamples,
 )
-from .metrics import MetricReport
+from .metrics import MetricReport, csv_text, json_text
 
 #: Significance threshold used when flagging correlations.
 ALPHA = 0.05
@@ -253,33 +252,25 @@ def correlation_report(
     return CorrelationReport(alpha, tuple(rows), tuple(skipped))
 
 
+def _record(row: CorrelationRow) -> dict:
+    return {
+        "level": row.level,
+        "metric": row.metric,
+        "pearson_r": row.pearson.coefficient,
+        "pearson_p": row.pearson.p_value,
+        "spearman_rho": row.spearman.coefficient,
+        "spearman_p": row.spearman.p_value,
+        "n": row.pearson.n,
+        "significant": row.significant,
+    }
+
+
 def correlation_to_csv(report: CorrelationReport) -> str:
-    lines = ["level,metric,pearson_r,pearson_p,spearman_rho,spearman_p,significant\n"]
-    for row in report.rows:
-        lines.append(
-            f"{row.level},{row.metric},{row.pearson.coefficient!r},{row.pearson.p_value!r},"
-            f"{row.spearman.coefficient!r},{row.spearman.p_value!r},"
-            f"{str(row.significant).lower()}\n"
-        )
-    return "".join(lines)
+    columns = ("level", "metric", "pearson_r", "pearson_p", "spearman_rho", "spearman_p",
+               "significant")
+    return csv_text(columns, map(_record, report.rows))
 
 
 def correlation_to_json(report: CorrelationReport) -> str:
-    payload = {
-        "alpha": report.alpha,
-        "rows": [
-            {
-                "level": row.level,
-                "metric": row.metric,
-                "pearson_r": row.pearson.coefficient,
-                "pearson_p": row.pearson.p_value,
-                "spearman_rho": row.spearman.coefficient,
-                "spearman_p": row.spearman.p_value,
-                "n": row.pearson.n,
-                "significant": row.significant,
-            }
-            for row in report.rows
-        ],
-        "skipped": [list(pair) for pair in report.skipped],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    rows = [_record(row) for row in report.rows]
+    return json_text({"alpha": report.alpha, "rows": rows, "skipped": [list(p) for p in report.skipped]})

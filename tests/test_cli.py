@@ -522,6 +522,15 @@ BAD_INPUTS = [
     (["cost", "--docs", "10", "--tokens", "nan"], {}, "--tokens"),
     (["sample", "--scheme", "nope"], {}, "--scheme"),
     (["evaluate", "--patience", "nan"], {}, "--patience"),
+    (["evaluate"], {"schemes": [{"name": "pair", "groups": "ab"}]}, "'schemes'"),
+    (["evaluate"], {"schemes": [{"name": 5, "groups": ["g0", "g1"]}]}, "'schemes'"),
+    (["evaluate"], {"schemes": [{"name": "pair", "groups": ["g0", "g1"], "unknown": True}]},
+     "'schemes'"),
+    (["evaluate"], {"schemes": [{"name": "pair", "groups": [1, 2]}]}, "'schemes'"),
+    (["evaluate"], {"schemes": [{"name": "pair", "groups": ["g0", "g1"], "colour": 1}]},
+     "'schemes'"),
+    (["evaluate", "--patience", "1.5"], {}, "--patience"),
+    (["evaluate"], {"attention": {"patience": 1.5}}, "'attention'"),
 ]
 
 
