@@ -12,6 +12,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .core import (
+    SUM_TOL,
     GroupMembershipTable,
     GroupScheme,
     MissingPolicy,
@@ -51,7 +52,7 @@ def _as_distribution(p, name: str, flat: bool = False) -> np.ndarray:
         raise NotADistribution(f"{name} must be a flat vector")
     if np.any(arr < 0):
         raise NotADistribution(f"{name} has negative entries")
-    if np.any(np.abs(arr.sum(axis=-1) - 1.0) > 1e-9):
+    if np.any(np.abs(arr.sum(axis=-1) - 1.0) > SUM_TOL):
         raise NotADistribution(f"{name} does not sum to one")
     return arr
 
@@ -180,7 +181,7 @@ def awrf(
     Lower is fairer; zero means the ranking's exposure matches the target.
     """
     scheme = table.scheme(scheme) if isinstance(scheme, str) else scheme
-    if not target.normalized and abs(target.total - 1.0) > 1e-9:
+    if not target.normalized and abs(target.total - 1.0) > SUM_TOL:
         raise NotADistribution("target exposure must be normalized")
     if len(ranking) == 0:
         raise ValueError("cannot compute exposure of an empty ranking")

@@ -19,6 +19,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .core import (
+    SUM_TOL,
     GroupMembershipTable,
     GroupScheme,
     Qrels,
@@ -43,9 +44,9 @@ class ConfusionMatrix:
         if len(self.rows) != k or any(len(r) != k for r in self.rows):
             raise ValueError(f"confusion matrix must be {k}x{k}")
         for r in self.rows:
-            if any(x < 0 for x in r):
-                raise ValueError("confusion entries must be non-negative")
-            if abs(math.fsum(r) - 1.0) > 1e-9:
+            if not all(math.isfinite(x) and x >= 0 for x in r):
+                raise ValueError("confusion entries must be finite and non-negative")
+            if abs(math.fsum(r) - 1.0) > SUM_TOL:
                 raise ValueError("confusion rows must sum to one")
 
     def as_array(self) -> np.ndarray:
@@ -68,34 +69,22 @@ def confusion_for_accuracy(
     """
     k = scheme.k
     lo = 1.0 / k
-    if accuracy < lo - 1e-12 or accuracy > 1.0 + 1e-12:
+    if not lo - 1e-12 <= accuracy <= 1.0 + 1e-12:
         raise AccuracyOutOfRange(f"accuracy {accuracy} outside [{lo}, 1]")
     accuracy = min(max(accuracy, lo), 1.0)
-    off = (1.0 - accuracy) / (k - 1)
-    if style == "uniform":
-        rows = tuple(
-            tuple(accuracy if i == j else off for j in range(k)) for i in range(k)
-        )
-    elif style == "biased":
+    rows = np.full((k, k), (1.0 - accuracy) / (k - 1))
+    if style == "biased":
         target = bias_target
         if target is None:
             target = scheme.unknown_index if scheme.unknown_index is not None else k - 1
         if not 0 <= target < k:
             raise ValueError(f"bias target {target} out of range")
-        rows = []
-        for i in range(k):
-            if i == target:
-                rows.append(tuple(accuracy if j == i else off for j in range(k)))
-            else:
-                rows.append(
-                    tuple(
-                        accuracy if j == i else (1.0 - accuracy if j == target else 0.0)
-                        for j in range(k)
-                    )
-                )
-        rows = tuple(rows)
-    else:
+        others = np.arange(k) != target
+        rows[others] = 0.0
+        rows[others, target] = 1.0 - accuracy
+    elif style != "uniform":
         raise ValueError(f"unknown confusion style {style!r}")
+    np.fill_diagonal(rows, accuracy)
     return ConfusionMatrix(scheme, rows)
 
 
@@ -123,16 +112,11 @@ def _corrupted_rows(
     k = matrix.scheme.k
     truth = np.argmax(stored, axis=1)  # ties resolve to the lowest index
     draws = _doc_uniforms(seed, doc_ids)
+    # each cumulative row is non-decreasing, so counting the entries at or
+    # below a draw is searchsorted(side="right") on that row
     cum = np.cumsum(m, axis=1)
-    labels = np.empty(len(doc_ids), dtype=np.intp)
-    for g in range(k):
-        mask = truth == g
-        if mask.any():
-            labels[mask] = np.searchsorted(cum[g], draws[mask], side="right")
-    np.clip(labels, 0, k - 1, out=labels)
-    rows = np.zeros((len(doc_ids), k), dtype=np.float64)
-    rows[np.arange(len(doc_ids)), labels] = 1.0
-    return rows
+    labels = np.count_nonzero(cum[truth] <= draws[:, None], axis=1)
+    return np.eye(k)[np.minimum(labels, k - 1)]
 
 
 def apply_confusion(
@@ -186,9 +170,9 @@ class TestbedConfig:
             raise ValueError("testbed needs at least 2 groups")
         if not 0.0 <= self.spread <= 1.0:
             raise ValueError("spread must lie in [0, 1]")
-        if not self.grade_probs or any(p < 0 for p in self.grade_probs):
-            raise ValueError("grade probabilities must be non-negative")
-        if abs(math.fsum(self.grade_probs) - 1.0) > 1e-9:
+        if not self.grade_probs or not all(math.isfinite(p) and p >= 0 for p in self.grade_probs):
+            raise ValueError("grade probabilities must be finite and non-negative")
+        if abs(math.fsum(self.grade_probs) - 1.0) > SUM_TOL:
             raise ValueError("grade probabilities must sum to one")
 
 
@@ -235,29 +219,19 @@ def generate_testbed(config: TestbedConfig) -> Testbed:
         judgments[qid] = {doc_id: int(g) for doc_id, g in zip(doc_ids, grades)}
 
         perm = rng.permutation(n)
-        queues: list[list[int]] = [[] for _ in range(k)]
-        for j in perm:
-            queues[groups[j]].append(int(j))
-        # balanced order: round-robin with the leading group rotating each
-        # cycle and across queries, so no group systematically owns rank 1
+        g = groups[perm]
+        # skewed: grouped by group, in permutation order within a group
+        skewed = np.argsort(g, kind="stable")
+        within = np.empty(n, dtype=np.intp)
+        within[skewed] = np.arange(n) - np.searchsorted(g[skewed], g[skewed])
+        # balanced: round-robin; cycle `within` takes each group's next
+        # document, leading with group (qi + cycle) % k, so no group
+        # systematically owns rank 1 (the keys are distinct)
+        balanced = np.argsort(within * k + (g - qi - within) % k)
         pos_balanced = np.empty(n, dtype=np.float64)
-        pointers = [0] * k
-        position = 0
-        cycle = 0
-        while position < n:
-            for offset in range(k):
-                g = (qi + cycle + offset) % k
-                if pointers[g] < len(queues[g]):
-                    pos_balanced[queues[g][pointers[g]]] = position
-                    pointers[g] += 1
-                    position += 1
-            cycle += 1
+        pos_balanced[perm[balanced]] = np.arange(n)
         pos_skewed = np.empty(n, dtype=np.float64)
-        position = 0
-        for g in range(k):
-            for j in queues[g]:
-                pos_skewed[j] = position
-                position += 1
+        pos_skewed[perm[skewed]] = np.arange(n)
         for s, lam in enumerate(lambdas):
             keys = (1.0 - lam) * pos_balanced + lam * pos_skewed
             order = np.argsort(keys, kind="stable")
@@ -347,8 +321,8 @@ def accuracy_sweep(
     table, qrels, runset = testbed.table, testbed.qrels, testbed.runset
     scheme_name = scheme_name or testbed.scheme_name
     scheme = table.scheme(scheme_name)
-    for a in level_list:  # validate all levels before any work
-        confusion_for_accuracy(scheme, a, style)
+    # one matrix per level, built (and so validated) before any work
+    matrices = [confusion_for_accuracy(scheme, a, style) for a in level_list]
     config = metric_config or MetricConfig()
 
     evaluation = CompiledEvaluation(runset, qrels, table, scheme, config)
@@ -360,8 +334,8 @@ def accuracy_sweep(
 
     def run_cell(level_index: int, trial: int) -> SweepTrial:
         accuracy = level_list[level_index]
-        cm = confusion_for_accuracy(scheme, accuracy, style)
-        rows = _corrupted_rows(stored, ids, cm, _trial_seed(seed, level_index, trial), "hard")
+        seed_cell = _trial_seed(seed, level_index, trial)
+        rows = _corrupted_rows(stored, ids, matrices[level_index], seed_cell, "hard")
         degraded = evaluation.scores(rows)
         sys_scores = _system_means(degraded)
         pr = pearson(sys_scores, truth_sys)

@@ -320,3 +320,193 @@ class TestAnnotationCost:
         inputs[position] = bad
         with pytest.raises(ValueError, match="finite"):
             annotation_cost(*inputs)
+
+
+# --- the closed forms against the loops they replaced ------------------------------------
+
+
+def _testbed_by_loops(config):
+    """generate_testbed with its orders built by per-group queues and a
+    round-robin pointer loop, as the reference for the sort-key form."""
+    k = config.n_groups
+    scheme = GroupScheme("group", tuple(f"g{i}" for i in range(k)))
+    rng = np.random.default_rng(config.seed)
+    if config.n_systems > 1:
+        lambdas = [config.spread * s / (config.n_systems - 1) for s in range(config.n_systems)]
+    else:
+        lambdas = [0.0]
+    labels, judgments, vocabulary, codes, spans = [], {}, [], [], []
+    n = config.docs_per_query
+    for qi in range(config.n_queries):
+        qid = f"q{qi:03d}"
+        doc_ids = [f"{qid}_d{di:04d}" for di in range(n)]
+        groups = rng.integers(0, k, size=n)
+        grades = rng.choice(len(config.grade_probs), size=n, p=config.grade_probs)
+        labels.append(groups)
+        judgments[qid] = {doc_id: int(g) for doc_id, g in zip(doc_ids, grades)}
+        perm = rng.permutation(n)
+        queues = [[] for _ in range(k)]
+        for j in perm:
+            queues[groups[j]].append(int(j))
+        pos_balanced = np.empty(n, dtype=np.float64)
+        pointers = [0] * k
+        position = 0
+        cycle = 0
+        while position < n:
+            for offset in range(k):
+                g = (qi + cycle + offset) % k
+                if pointers[g] < len(queues[g]):
+                    pos_balanced[queues[g][pointers[g]]] = position
+                    pointers[g] += 1
+                    position += 1
+            cycle += 1
+        pos_skewed = np.empty(n, dtype=np.float64)
+        position = 0
+        for g in range(k):
+            for j in queues[g]:
+                pos_skewed[j] = position
+                position += 1
+        for s, lam in enumerate(lambdas):
+            keys = (1.0 - lam) * pos_balanced + lam * pos_skewed
+            order = np.argsort(keys, kind="stable")
+            start = len(codes) * n
+            codes.append(len(vocabulary) + order)
+            spans.append((f"sys{s:02d}", qid, start, start + n))
+        vocabulary.extend(doc_ids)
+    scores = np.tile(np.arange(n, 0, -1, dtype=np.float64), len(codes))
+    runset = simulate.RunSet.from_columns(vocabulary, np.concatenate(codes), scores, spans)
+    columns = {scheme.name: (vocabulary, np.eye(k)[np.concatenate(labels)])}
+    table = GroupMembershipTable.from_columns([scheme], columns, provenance="synthetic")
+    return simulate.Testbed(table, Qrels(judgments), runset)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        # (queries, docs per query, groups, systems, spread)
+        (9, 3, 5, 4, 1.0),  # fewer documents than groups
+        (8, 1, 3, 3, 0.5),  # one document per query
+        (15, 40, 7, 6, 0.5),  # more queries than groups: the rotation wraps
+        (10, 23, 2, 5, 0.0),
+        (6, 17, 4, 1, 1.0),  # one system
+        (12, 60, 6, 9, 1.0),
+    ],
+)
+@pytest.mark.parametrize("seed", [0, 3])
+def test_generate_testbed_equals_the_loop_orders(shape, seed):
+    n_queries, docs, k, systems, spread = shape
+    config = simulate.TestbedConfig(
+        n_queries=n_queries, docs_per_query=docs, n_groups=k,
+        n_systems=systems, spread=spread, seed=seed,
+    )
+    bed, reference = generate_testbed(config), _testbed_by_loops(config)
+    assert bed.runset == reference.runset
+    assert bed.qrels == reference.qrels
+    assert bed.table == reference.table
+
+
+def _rows_by_group_loop(stored, draws, matrix):
+    """_corrupted_rows' hard mode as a searchsorted per true group and a
+    one-hot scatter, the reference for the label-vector form."""
+    k = matrix.scheme.k
+    truth = np.argmax(stored, axis=1)
+    cum = np.cumsum(matrix.as_array(), axis=1)
+    labels = np.empty(len(draws), dtype=np.intp)
+    for g in range(k):
+        mask = truth == g
+        if mask.any():
+            labels[mask] = np.searchsorted(cum[g], draws[mask], side="right")
+    np.clip(labels, 0, k - 1, out=labels)
+    rows = np.zeros((len(draws), k), dtype=np.float64)
+    rows[np.arange(len(draws)), labels] = 1.0
+    return rows
+
+
+def test_corrupted_rows_equal_the_per_group_searchsorted(monkeypatch):
+    short = 0.4 - 5e-10  # the last row's cumulative sum ends just below one
+    matrix = ConfusionMatrix(
+        G4, ((0.25,) * 4, (0.1, 0.2, 0.3, short), (0.0, 0.5, 0.0, 0.5), (0.0, 0.0, 0.0, 1.0))
+    )
+    cum = np.cumsum(matrix.as_array(), axis=1)
+    draws = np.concatenate([
+        [0.0, 0.5, 1.0 - 2.0**-53, cum[1, 3], (cum[1, 3] + 1.0) / 2],
+        cum.ravel(),  # every draw exactly on a cumulative boundary
+        np.random.default_rng(1).random(200),
+    ])
+    monkeypatch.setattr(simulate, "_doc_uniforms", lambda seed, doc_ids: draws)
+    ids = [f"d{i}" for i in range(len(draws))]
+    mixed = np.random.default_rng(2).integers(0, 4, size=len(draws))
+    for truth in [np.full(len(draws), g) for g in range(4)] + [mixed]:
+        stored = np.eye(4)[truth]
+        rows = simulate._corrupted_rows(stored, ids, matrix, 0, "hard")
+        np.testing.assert_array_equal(rows, _rows_by_group_loop(stored, draws, matrix))
+        assert rows.dtype == np.float64
+    # a draw at or above the end of a row that sums to just below one takes
+    # the last group
+    rows = simulate._corrupted_rows(np.eye(4)[np.ones(len(draws), int)], ids, matrix, 0, "hard")
+    assert rows[3].tolist() == rows[4].tolist() == [0.0, 0.0, 0.0, 1.0]
+    monkeypatch.setattr(simulate, "_doc_uniforms", lambda seed, doc_ids: np.empty(0))
+    empty = simulate._corrupted_rows(np.empty((0, 4)), [], matrix, 0, "hard")
+    assert empty.shape == (0, 4) and empty.dtype == np.float64
+
+
+def _confusion_by_tuples(scheme, accuracy, style, bias_target):
+    """confusion_for_accuracy's rows as nested tuples, the reference for
+    the array form; the range check is applied by the caller."""
+    k = scheme.k
+    accuracy = min(max(accuracy, 1.0 / k), 1.0)
+    off = (1.0 - accuracy) / (k - 1)
+    if style == "uniform":
+        return tuple(tuple(accuracy if i == j else off for j in range(k)) for i in range(k))
+    target = bias_target
+    if target is None:
+        target = scheme.unknown_index if scheme.unknown_index is not None else k - 1
+    rows = []
+    for i in range(k):
+        if i == target:
+            rows.append(tuple(accuracy if j == i else off for j in range(k)))
+        else:
+            rows.append(
+                tuple(
+                    accuracy if j == i else (1.0 - accuracy if j == target else 0.0)
+                    for j in range(k)
+                )
+            )
+    return tuple(rows)
+
+
+def test_confusion_for_accuracy_equals_the_tuple_form_bit_for_bit():
+    rng = np.random.default_rng(4)
+    for k in range(2, 8):
+        for unknown in (None, *range(k)):
+            scheme = GroupScheme("s", tuple(f"g{i}" for i in range(k)), unknown_index=unknown)
+            lo = 1.0 / k
+            levels = [lo - 1e-13, lo, 0.5, 0.55, 0.8, 0.9, 0.999, 1.0, 1.0 + 1e-13]
+            levels += rng.uniform(lo, 1.0, size=10).tolist()
+            for accuracy in levels:
+                if accuracy < lo - 1e-12:
+                    continue
+                for style, target in [("uniform", None), ("biased", None)] + [
+                    ("biased", t) for t in range(k)
+                ]:
+                    got = confusion_for_accuracy(scheme, accuracy, style, target).rows
+                    want = _confusion_by_tuples(scheme, accuracy, style, target)
+                    assert [[x.hex() for x in r] for r in got] == [
+                        [x.hex() for x in r] for r in want
+                    ]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_accuracy_and_entries_rejected(bad):
+    with pytest.raises(AccuracyOutOfRange):
+        confusion_for_accuracy(G4, bad)
+    with pytest.raises(ValueError, match="finite"):
+        ConfusionMatrix(G2, ((bad, 1.0), (0.0, 1.0)))
+    with pytest.raises(ValueError, match="finite"):
+        simulate.TestbedConfig(grade_probs=(bad, 0.5, 0.5))
+
+
+def test_nan_level_rejected_before_any_cell():
+    bed = generate_testbed(SMALL)
+    with pytest.raises(AccuracyOutOfRange):
+        accuracy_sweep(bed, [math.nan, 1.0], trials=1)
