@@ -9,13 +9,19 @@ round-trips with its writer: ``parse(write(x)) == x``.
 from __future__ import annotations
 
 import codecs
+import io
 import json
 import math
+import os
+import pickle
+import signal
+import stat
+import threading
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain
-from typing import IO, Iterator, Sequence
+from typing import IO, Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -45,6 +51,10 @@ from .errors import (
 #: Characters read from a source at a time.
 _BLOCK = 1 << 20
 
+#: Bytes of a run file per process, at least: a file of ``2 * MIN_PART``
+#: bytes or more is cut into byte ranges scanned in parallel.
+MIN_PART = 8 << 20
+
 
 def _chunks(source: str | bytes | IO) -> Iterator[str | bytes]:
     if isinstance(source, (str, bytes)):
@@ -55,17 +65,28 @@ def _chunks(source: str | bytes | IO) -> Iterator[str | bytes]:
             yield chunk
 
 
-def _line_blocks(source: str | bytes | IO) -> Iterator[list[str]]:
-    r"""Lines of a string, bytes (UTF-8) or file object, a block at a time.
+def _range_chunks(fd: int, start: int, stop: int) -> Iterator[bytes]:
+    """Bytes ``start:stop`` of an open file, a block at a time."""
+    while start < stop and (chunk := os.pread(fd, min(_BLOCK, stop - start), start)):
+        start += len(chunk)
+        yield chunk
+
+
+def _line_blocks(chunks: Iterable[str | bytes], at_start: bool = True) -> Iterator[list[str]]:
+    r"""Lines of text or UTF-8 bytes chunks, a block at a time.
 
     Lines are those of ``text.splitlines()`` on the whole text: a block is
     cut only after a ``\n``, or after a ``\r`` that is not its last
-    character, so no line break is split across two blocks.
+    character, so no line break is split across two blocks. When the
+    chunks start a file (``at_start``), one leading byte-order mark
+    (U+FEFF) is dropped.
     """
     decoder = codecs.getincrementaldecoder("utf-8")()
     carry = ""
-    for chunk in _chunks(source):
+    for chunk in chunks:
         text = carry + (decoder.decode(chunk) if isinstance(chunk, bytes) else chunk)
+        if at_start and text:
+            text, at_start = text.removeprefix("\ufeff"), False
         cut = max(text.rfind("\n"), text.rfind("\r", 0, len(text) - 1)) + 1
         carry = text[cut:]
         if cut:
@@ -77,7 +98,7 @@ def _line_blocks(source: str | bytes | IO) -> Iterator[list[str]]:
 
 def _lines(source: str | bytes | IO) -> Iterator[tuple[int, str]]:
     """Yield (1-based line number, text) from a string, bytes, or file object."""
-    return enumerate(chain.from_iterable(_line_blocks(source)), start=1)
+    return enumerate(chain.from_iterable(_line_blocks(_chunks(source))), start=1)
 
 
 # --- run files ----------------------------------------------------------------
@@ -93,6 +114,40 @@ def parse_run(source: str | bytes | IO) -> RunSet:
     (tag, qid) keys become integer codes as lines arrive, and duplicates and
     the rank order are found with array operations at the end. An error
     names the first faulty line of the file.
+
+    A regular file of at least ``2 * MIN_PART`` bytes, opened at its start
+    in binary or strict UTF-8 text mode, is cut after ``\n`` bytes into up
+    to one byte range per available CPU; forked workers scan all ranges
+    but the first, and the parts are merged in file order into the same
+    RunSet. If any part fails, the whole file is scanned again serially,
+    so errors are those of a serial parse.
+    """
+    docs, keys, blanks, (doc_codes, key_codes, ranks, scores) = (
+        _scan_file(source) or _scan_run(_chunks(source))
+    )
+    doc_codes, key_codes, scores = map(np.asarray, (doc_codes, key_codes, scores))
+    _raise_first_duplicate(doc_codes, key_codes, docs, keys, blanks)
+    if isinstance(ranks, list):  # order-preserving small stand-ins for huge ranks
+        dense = {rank: i for i, rank in enumerate(sorted(set(ranks)))}
+        ranks = array("q", map(dense.__getitem__, ranks))
+    order = np.lexsort((ranks, key_codes))
+    counts = np.bincount(key_codes, minlength=len(keys)).tolist()
+    del ranks, key_codes  # freed before the gathers below, to lower the peak
+    spans = [
+        (tag, qid, stop - count, stop)
+        for (tag, qid), count, stop in zip(keys, counts, accumulate(counts))
+    ]
+    return RunSet.from_columns(list(docs), doc_codes[order], scores[order], spans)
+
+
+def _scan_run(chunks: Iterable[str | bytes], at_start: bool = True) -> tuple:
+    """Scan run lines into ``(docs, keys, blanks, columns)``.
+
+    ``docs`` and ``keys`` map doc ids and (tag, qid) pairs to codes in order
+    of first appearance; ``blanks`` holds the number of entries read before
+    each blank line; ``columns`` are the doc code, key code, rank and score
+    of each entry, as arrays (ranks as a list once one is beyond int64).
+    Line numbers in errors count from the first line of ``chunks``.
     """
     docs: dict[str, int] = {}
     keys: dict[tuple[str, str], int] = {}
@@ -106,7 +161,7 @@ def parse_run(source: str | bytes | IO) -> RunSet:
     key = -1
     number = 0
     try:
-        for lines in _line_blocks(source):
+        for lines in _line_blocks(chunks, at_start):
             for line in lines:
                 number += 1
                 fields = line.split()
@@ -140,38 +195,29 @@ def parse_run(source: str | bytes | IO) -> RunSet:
                 add_key(key)
                 add_score(score)
     except RankfairError:
-        _raise_first_duplicate(doc_codes, key_codes, docs, keys, blanks)
+        _raise_first_duplicate(np.asarray(doc_codes), np.asarray(key_codes), docs, keys, blanks)
         raise
-    _raise_first_duplicate(doc_codes, key_codes, docs, keys, blanks)
-    key_codes = np.frombuffer(key_codes, dtype=np.int64)
-    if isinstance(ranks, list):  # order-preserving small stand-ins for huge ranks
-        dense = {rank: i for i, rank in enumerate(sorted(set(ranks)))}
-        ranks = array("q", map(dense.__getitem__, ranks))
-    order = np.lexsort((np.frombuffer(ranks, dtype=np.int64), key_codes))
-    counts = np.bincount(key_codes, minlength=len(keys)).tolist()
-    spans = [
-        (tag, qid, stop - count, stop)
-        for (tag, qid), count, stop in zip(keys, counts, accumulate(counts))
-    ]
-    return RunSet.from_columns(
-        list(docs),
-        np.frombuffer(doc_codes, dtype=np.int64)[order],
-        np.frombuffer(scores, dtype=np.float64)[order],
-        spans,
-    )
+    return docs, keys, blanks, (doc_codes, key_codes, ranks, scores)
 
 
 def _raise_first_duplicate(
-    doc_codes: array, key_codes: array, docs: dict, keys: dict, blanks: list[int]
+    doc_codes: np.ndarray, key_codes: np.ndarray, docs: dict, keys: dict, blanks: list[int]
 ) -> None:
     """Raise ``DuplicateDocument`` for the first entry, in file order, that
     repeats an earlier entry's (tag, qid, doc)."""
-    pairs = np.frombuffer(key_codes, dtype=np.int64) * max(1, len(docs))
-    pairs += np.frombuffer(doc_codes, dtype=np.int64)
-    _, first = np.unique(pairs, return_index=True)
-    if len(first) == len(pairs):
+
+    def pairs() -> np.ndarray:
+        out = key_codes * max(1, len(docs))
+        out += doc_codes
+        return out
+
+    ordered = pairs()
+    ordered.sort()
+    if not np.any(ordered[1:] == ordered[:-1]):
         return
-    repeat = np.ones(len(pairs), dtype=bool)
+    del ordered
+    _, first = np.unique(pairs(), return_index=True)
+    repeat = np.ones(len(doc_codes), dtype=bool)
     repeat[first] = False
     entry = int(np.argmax(repeat))
     doc_id = list(docs)[doc_codes[entry]]
@@ -180,6 +226,171 @@ def _raise_first_duplicate(
         f"doc {doc_id!r} repeated for ({tag!r}, {qid!r})",
         line=entry + 1 + bisect_right(blanks, entry),
     )
+
+
+# --- parallel run scan ------------------------------------------------------------
+
+
+def _scan_file(source: str | bytes | IO) -> tuple | None:
+    """``_scan_run`` of a whole run file, its byte ranges scanned in
+    parallel; None when the source is one part or a part fails."""
+    fd = _run_file(source)
+    if fd is None:
+        return None
+    size = os.fstat(fd).st_size
+    cuts = _cuts(fd, size, min(_cpus(), size // MIN_PART))
+    if len(cuts) < 3:
+        return None
+    workers: list[tuple[int, IO[bytes]]] = []
+    try:
+        for start, stop in zip(cuts[1:], cuts[2:]):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # out of processes: scan serially
+                pid = None
+            if pid == 0:
+                _scan_worker(fd, start, stop, write)
+            os.close(write)
+            if pid is None:
+                os.close(read)
+                return None
+            workers.append((pid, open(read, "rb")))
+        merged = _scan_parts(fd, cuts[1], [pipe for _, pipe in workers])
+    finally:
+        for pid, pipe in workers:
+            pipe.close()
+            try:
+                os.kill(pid, signal.SIGKILL)  # a worker still running is not needed
+            except ProcessLookupError:
+                pass
+            os.waitpid(pid, 0)
+    if merged is not None:
+        source.seek(0, os.SEEK_END)  # consumed, as by a serial scan
+    return merged
+
+
+def _run_file(source: str | bytes | IO) -> int | None:
+    """The descriptor of a regular file that ``source`` reads from its start,
+    unbuffered, buffered or as strict UTF-8 text, if this process may fork;
+    else None."""
+    text = isinstance(source, io.TextIOWrapper)
+    raw = source.buffer if text else source
+    raw = getattr(raw, "raw", raw)
+    if not isinstance(raw, io.FileIO) or threading.active_count() > 1:
+        return None
+    if text and (codecs.lookup(source.encoding).name != "utf-8" or source.errors != "strict"):
+        return None
+    try:
+        regular = stat.S_ISREG(os.fstat(raw.fileno()).st_mode)
+        if not regular or not raw.readable() or source.tell() != 0:
+            return None
+    except (OSError, ValueError):  # closed, or not seekable
+        return None
+    return raw.fileno()
+
+
+def _cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform: scan serially
+        return 1
+
+
+def _cuts(fd: int, size: int, parts: int) -> list[int]:
+    """``[0, ..., size]``: up to ``parts`` byte ranges of about equal size,
+    each inner cut just after a ``\n`` byte, so that no line, UTF-8
+    sequence or ``\r\n`` is split."""
+    cuts = [0]
+    for i in range(1, parts):
+        at = max(size * i // parts, cuts[-1])
+        while at < size and (window := os.pread(fd, 1 << 16, at)):
+            newline = window.find(b"\n")
+            if newline >= 0:
+                at += newline + 1
+                break
+            at += len(window)
+        if cuts[-1] < at < size:
+            cuts.append(at)
+    return cuts + [size]
+
+
+def _scan_worker(fd: int, start: int, stop: int, write: int) -> NoReturn:
+    """In a forked child: scan bytes ``start:stop`` and send the part down a
+    pipe as a pickled header (None if the part is faulty), then its doc
+    codes, key codes, ranks (pickled if beyond int64) and scores."""
+    status = 1
+    try:
+        with open(write, "wb") as out:
+            try:
+                docs, keys, blanks, columns = _scan_run(_range_chunks(fd, start, stop), False)
+            except (RankfairError, UnicodeDecodeError):
+                pickle.dump(None, out)
+            else:
+                wide = isinstance(columns[2], list)
+                pickle.dump((list(docs), list(keys), blanks, len(columns[3]), wide), out)
+                for column in columns:
+                    if isinstance(column, list):
+                        pickle.dump(column, out)
+                    else:
+                        out.write(column)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _scan_parts(fd: int, first_stop: int, pipes: list[IO[bytes]]) -> tuple | None:
+    """Scan bytes ``0:first_stop`` here, then merge the workers' parts from
+    their pipes into one ``_scan_run`` result in file order, with codes
+    numbered by first appearance in the whole file; None if a part fails."""
+    try:
+        docs, keys, blanks, first = _scan_run(_range_chunks(fd, 0, first_stop))
+        headers = [pickle.load(pipe) for pipe in pipes]
+        if None in headers:
+            return None
+        sizes = [len(first[3])] + [header[3] for header in headers]
+        total = sum(sizes)
+        doc_codes, key_codes = np.empty(total, np.int64), np.empty(total, np.int64)
+        scores = np.empty(total, np.float64)
+        wide = isinstance(first[2], list) or any(header[4] for header in headers)
+        ranks: np.ndarray | list[int] = list(first[2]) if wide else np.empty(total, np.int64)
+        for column, part in zip((doc_codes, key_codes, scores), (first[0], first[1], first[3])):
+            column[: sizes[0]] = np.asarray(part)
+        if not wide:
+            ranks[: sizes[0]] = np.asarray(first[2])
+        del first
+        for (part_docs, part_keys, part_blanks, size, part_wide), pipe, start in zip(
+            headers, pipes, accumulate(sizes)
+        ):
+            part = slice(start, start + size)
+            blanks += [start + blank for blank in part_blanks]
+            raw = np.empty(size, np.int64)
+            for column, vocabulary, codes in (
+                (doc_codes, part_docs, docs), (key_codes, part_keys, keys)
+            ):
+                renumber = np.fromiter(
+                    (codes.setdefault(item, len(codes)) for item in vocabulary),
+                    np.int64, len(vocabulary),
+                )
+                np.take(renumber, _read_into(pipe, raw), out=column[part])
+            if part_wide:
+                ranks += pickle.load(pipe)
+            elif wide:
+                ranks += _read_into(pipe, raw).tolist()
+            else:
+                _read_into(pipe, ranks[part])
+            _read_into(pipe, scores[part])
+    except (RankfairError, UnicodeDecodeError, EOFError, pickle.UnpicklingError):
+        return None
+    return docs, keys, blanks, (doc_codes, key_codes, ranks, scores)
+
+
+def _read_into(pipe: IO[bytes], column: np.ndarray) -> np.ndarray:
+    """``column``, filled from ``pipe``; EOFError if the pipe ends first."""
+    view = memoryview(column).cast("B")
+    if pipe.readinto(view) != len(view):
+        raise EOFError("a worker's pipe ended early")
+    return column
 
 
 def write_run(runset: RunSet) -> str:

@@ -229,6 +229,43 @@ class TestParseAnnotations:
             assert parse_annotations(text, schemes, format) == table
 
 
+class TestByteOrderMark:
+    """One U+FEFF at the start of a file is dropped by every parser; one at
+    the start of a later line stays part of its field."""
+
+    @staticmethod
+    def sources(text, tmp_path):
+        path = tmp_path / "input.txt"
+        path.write_text(text, encoding="utf-8")
+        yield text
+        yield text.encode("utf-8")
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+        with open(path, "rb") as fh:
+            yield fh
+
+    def test_run_file(self, tmp_path):
+        text = "\ufeffq1 Q0 d1 1 1.0 s\n\ufeffq2 Q0 d1 1 1.0 s\n"
+        for source in self.sources(text, tmp_path):
+            runset = parse_run(source)
+            assert runset.all_queries == ("q1", "\ufeffq2")
+            assert runset == parse_run(text[1:])
+
+    def test_qrels(self, tmp_path):
+        for source in self.sources("\ufeffq1 0 d1 1\n\ufeffq2 0 d1 1\n", tmp_path):
+            assert parse_qrels(source).queries == ("q1", "\ufeffq2")
+
+    def test_annotations(self, tmp_path):
+        text = "\ufeffd1\tgeo\teu:1\n\ufeffd2\tgeo\tus:1\n"
+        for source in self.sources(text, tmp_path):
+            ids, _ = parse_annotations(source, [GEO]).columns("geo")
+            assert ids == ("d1", "\ufeffd2")
+
+    def test_only_one_mark_is_dropped(self):
+        assert parse_qrels("\ufeff\ufeffq1 0 d1 1\n").queries == ("\ufeffq1",)
+        assert parse_qrels("\ufeff").queries == ()
+
+
 class TestStratifiedSample:
     def _table(self, per_group=20):
         vectors = {}

@@ -1,13 +1,18 @@
 """Contract tests for the block-reading ``parse_run``.
 
-The oracle is the line-by-line parser it replaced: the whole text is read
-and split into lines, every line is checked in turn against a set of the
-(tag, qid, doc) triples seen so far, and rankings are sorted as tuples. The
-new parser must return an equal RunSet, or raise the same error class for
-the same line, on any input.
+The oracle is the line-by-line parser it replaced: the whole text is read,
+one leading byte-order mark is dropped and the rest split into lines, every
+line is checked in turn against a set of the (tag, qid, doc) triples seen
+so far, and rankings are sorted as tuples. The new parser must return an
+equal RunSet, or raise the same error class for the same line, on any
+input. A file cut into byte ranges that are scanned in parallel must give
+the same columns, bit for bit, and the same errors as a one-part parse.
 """
 
+import contextlib
+import gzip
 import io
+import os
 from unittest import mock
 
 import pytest
@@ -36,6 +41,7 @@ def oracle_lines(source):
     else:
         data = source.read()
         text = data.decode("utf-8") if isinstance(data, bytes) else data
+    text = text.removeprefix("\ufeff")
     for number, line in enumerate(text.splitlines(), start=1):
         yield number, line
 
@@ -235,7 +241,7 @@ class TestRunSetColumns:
 
 # --- property -------------------------------------------------------------------------
 
-NAMES = st.sampled_from(["q1", "q2", "d1", "d2", "dé", "日本", "s1", "sA"])
+NAMES = st.sampled_from(["q1", "q2", "d1", "d2", "dé", "日本", "s1", "sA", "\ufeffq1"])
 RANKS = st.one_of(
     st.integers(-3, 6),
     st.integers(2**63 - 2, 2**64 + 2),
@@ -247,7 +253,7 @@ SCORES = st.one_of(
     st.sampled_from(["inf", "-0.0", "1e3", "high", "1_0.5"]),
 )
 BLANK = st.sampled_from([" ", "\t", "  ", " \t", "\xa0"])
-NEWLINES = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r", "\x0c", "\x1c", " "])
+NEWLINES = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r", "\x0c", "\x1c", "\x85", "\u2028"])
 
 
 @st.composite
@@ -283,3 +289,250 @@ def run_texts(draw):
 )
 def test_matches_line_by_line_oracle(text, kind, block):
     assert_same(text, kind, block)
+
+
+# --- parallel scan of byte ranges -------------------------------------------------------
+
+
+def stored(runset):
+    """Everything a RunSet stores, in storage order, with scores as bits."""
+    spans = {(s, q): runset.span(s, q) for s in runset.systems for q in runset.queries(s)}
+    return runset.vocabulary, runset.codes.tolist(), runset.scores.tobytes(), spans
+
+
+@contextlib.contextmanager
+def cpus(parts):
+    """As on a machine with ``parts`` CPUs, where a file of two bytes is
+    worth cutting; yields a spy on ``os.fork``."""
+    with (
+        mock.patch.object(ingest, "MIN_PART", 1),
+        mock.patch.object(ingest, "_cpus", lambda: parts),
+        mock.patch.object(os, "fork", wraps=os.fork) as fork,
+    ):
+        yield fork
+
+
+def parse_in_parts(path, parts, mode="text"):
+    """``parse_run`` of a file cut into up to ``parts`` byte ranges, as on a
+    machine with ``parts`` CPUs; returns the outcome and the cuts. Checks
+    that one worker was forked per range after the first and that none is
+    left once ``parse_run`` returns or raises."""
+    with open(path, "rb") as fh:
+        cuts = ingest._cuts(fh.fileno(), path.stat().st_size, parts)
+    with (
+        cpus(parts) as fork,
+        open(path, encoding="utf-8") if mode == "text" else open(path, "rb") as fh,
+    ):
+        got = outcome(parse_run, fh)
+        if got[1] is None:
+            assert not fh.read()  # consumed, as by a serial scan
+    assert fork.call_count == len(cuts) - 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return got, cuts
+
+
+def assert_parts_same(path, parts, mode="text"):
+    """The parallel parse of ``path`` equals the one-part parse and the
+    oracle: the same stored columns, or the same (type, line, message)."""
+    data = path.read_bytes()
+    want, want_error = outcome(parse_run, data)
+    assert (want, want_error) == outcome(oracle_parse_run, data)
+    (got, got_error), cuts = parse_in_parts(path, parts, mode)
+    assert all(data[cut - 1 : cut] == b"\n" for cut in cuts[1:-1])
+    assert got_error == want_error
+    if want is not None:
+        assert stored(got) == stored(want)
+    return got, got_error, cuts
+
+
+def part_starts(data, cuts):
+    """0-based index of the first line of each byte range."""
+    return [data[:cut].count(b"\n") for cut in cuts[:-1]]
+
+
+def fixed_lines(n, queries=2, systems=2):
+    """``n`` run lines of equal byte length: rankings of several (system,
+    query) keys interleaved, ranks descending and 22 digits wide, as 2**70."""
+    return [
+        f"q{i % queries} Q0 d{i:03d} {n - i:022d} {i % 7}.5 s{i // queries % systems}\n"
+        for i in range(n)
+    ]
+
+
+@pytest.fixture
+def run_path(tmp_path):
+    return tmp_path / "runs.txt"
+
+
+class TestParallelScan:
+    @pytest.mark.parametrize("mode", ["text", "binary"])
+    @pytest.mark.parametrize("parts", [2, 3, 4])
+    def test_equal_to_one_part_parse(self, run_path, parts, mode):
+        breaks = ["\n", "\r\n", "\n\n", "\r", "\u2028", "\x85", "\n \t\n"]
+        text = "".join(
+            line.rstrip("\n") + breaks[i % len(breaks)] for i, line in enumerate(fixed_lines(60))
+        )
+        run_path.write_text(text, encoding="utf-8")
+        got, _, cuts = assert_parts_same(run_path, parts, mode)
+        assert len(cuts) == parts + 1
+        assert len(got) == 4
+
+    def test_cut_right_before_a_blank_line(self, run_path):
+        lines = fixed_lines(11)
+        run_path.write_text("".join(lines[:6]) + "\n" + "".join(lines[6:]), encoding="utf-8")
+        _, _, cuts = assert_parts_same(run_path, 2)
+        assert cuts[1] == len("".join(lines[:6]))
+
+    def test_one_ranking_split_across_every_part(self, run_path):
+        run_path.write_text("".join(fixed_lines(40, queries=1, systems=1)), encoding="utf-8")
+        got, _, cuts = assert_parts_same(run_path, 4)
+        assert len(cuts) == 5 and len(got) == 1
+        assert got.get("s0", "q0").doc_ids[0] == "d039"
+
+    @pytest.mark.parametrize("part", [0, 1, 2, 3])
+    def test_ranks_beyond_int64_in_one_part(self, run_path, part):
+        lines = fixed_lines(40)
+        run_path.write_text("".join(lines), encoding="utf-8")
+        data = run_path.read_bytes()
+        with open(run_path, "rb") as fh:
+            line = part_starts(data, ingest._cuts(fh.fileno(), len(data), 4))[part] + 1
+        lines[line] = lines[line].replace(f" {40 - line:022d} ", f" {2**70} ")  # as wide
+        run_path.write_text("".join(lines), encoding="utf-8")
+        got, _, _ = assert_parts_same(run_path, 4)
+        assert len(got) == 4
+
+    def test_byte_order_mark_only_at_the_start_of_the_file(self, run_path):
+        run_path.write_text("".join("\ufeff" + line for line in fixed_lines(40)), encoding="utf-8")
+        got, _, cuts = assert_parts_same(run_path, 4)
+        assert all(run_path.read_bytes()[cut:].startswith("\ufeff".encode()) for cut in cuts[1:-1])
+        assert sorted(got.all_queries) == ["q0", "\ufeffq0", "\ufeffq1"]
+
+
+    @pytest.mark.parametrize(
+        "failure",
+        [
+            (os, "fork", mock.Mock(side_effect=BlockingIOError(11, "refused"))),
+            (ingest, "_scan_worker", lambda *args: os._exit(1)),  # dies without a word
+        ],
+        ids=["refused fork", "dead worker"],
+    )
+    def test_failed_worker_scans_serially(self, run_path, failure):
+        run_path.write_text("".join(fixed_lines(40)), encoding="utf-8")
+        with (
+            cpus(4),
+            mock.patch.object(*failure),
+            mock.patch.object(ingest, "_scan_run", wraps=ingest._scan_run) as scan,
+            open(run_path, encoding="utf-8") as fh,
+        ):
+            got = parse_run(fh)
+        assert scan.call_args.args[0].__name__ == "_chunks"  # the last scan read the source
+        assert stored(got) == stored(parse_run(run_path.read_bytes()))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+    @pytest.mark.parametrize(
+        "opener",
+        [
+            lambda path: gzip.open(path.with_suffix(".gz"), "rt", encoding="utf-8"),
+            lambda path: gzip.open(path.with_suffix(".gz"), "rb"),
+            lambda path: open(path, encoding="latin-1"),
+            lambda path: open(path, encoding="utf-8", errors="replace"),
+        ],
+        ids=["gzip text", "gzip binary", "latin-1 text", "lenient text"],
+    )
+    def test_other_file_objects_stay_one_part(self, run_path, opener):
+        text = "".join(fixed_lines(40))
+        run_path.write_text(text, encoding="utf-8")
+        # stored, not compressed: the .gz file holds the text's line breaks
+        with gzip.open(run_path.with_suffix(".gz"), "wt", 0, encoding="utf-8") as out:
+            out.write(text)
+        with cpus(4) as fork, opener(run_path) as fh:
+            got = parse_run(fh)
+        assert not fork.called
+        assert stored(got) == stored(parse_run(text))
+
+    def test_file_read_from_the_middle_stays_one_part(self, run_path):
+        lines = fixed_lines(40)
+        run_path.write_text("".join(lines), encoding="utf-8")
+        with cpus(4) as fork, open(run_path, encoding="utf-8") as fh:
+            fh.readline()
+            got = parse_run(fh)
+        assert not fork.called
+        assert stored(got) == stored(parse_run("".join(lines[1:])))
+
+
+class TestParallelScanFaults:
+    FAULTS = {
+        "malformed": (" s", "_s"),
+        "rank": (" 0", " x"),
+        "score": (".5 ", ".x "),
+    }
+
+    def faulty(self, run_path, faults):
+        """A 40-line file cut into 4 ranges, with ``faults`` as
+        ``{part: fault name}`` in the second line of those parts."""
+        lines = fixed_lines(40)
+        data = "".join(lines).encode("utf-8")
+        run_path.write_bytes(data)
+        with open(run_path, "rb") as fh:
+            starts = part_starts(data, ingest._cuts(fh.fileno(), len(data), 4))
+        for part, fault in faults.items():
+            line = starts[part] + 1
+            lines[line] = lines[line].replace(*self.FAULTS[fault], 1)
+        run_path.write_text("".join(lines), encoding="utf-8")
+        return starts
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    @pytest.mark.parametrize("part", [0, 1, 2, 3])
+    def test_fault_in_each_part(self, run_path, part, fault):
+        starts = self.faulty(run_path, {part: fault})
+        _, error, _ = assert_parts_same(run_path, 4)
+        assert error[1] == starts[part] + 2
+
+    def test_first_of_faults_in_several_parts(self, run_path):
+        starts = self.faulty(run_path, {3: "malformed", 1: "score", 2: "rank"})
+        _, error, _ = assert_parts_same(run_path, 4)
+        assert error[:2] == (NonNumericScore, starts[1] + 2)
+
+    @pytest.mark.parametrize("later", [1, 2, 3])
+    def test_duplicate_with_copies_in_two_parts(self, run_path, later):
+        lines = []
+        for i, line in enumerate(fixed_lines(40)):
+            lines += [line, "\n"] if i % 3 == 2 else [line]  # blank lines in every part
+        data = "".join(lines).encode("utf-8")
+        run_path.write_bytes(data)
+        with open(run_path, "rb") as fh:
+            line = part_starts(data, ingest._cuts(fh.fileno(), len(data), 4))[later]
+        line += lines[line] == "\n"
+        qid, _, doc, *_, tag = lines[line].split()
+        first = next(l.split()[2] for l in lines if l.split()[::5] == [qid, tag])
+        lines[line] = lines[line].replace(doc, first)  # the same width
+        run_path.write_text("".join(lines), encoding="utf-8")
+        _, error, _ = assert_parts_same(run_path, 4)
+        assert error[:2] == (DuplicateDocument, line + 1)
+
+    @pytest.mark.parametrize("mode", ["text", "binary"])
+    def test_invalid_utf8_in_a_later_part(self, run_path, mode):
+        data = "".join(fixed_lines(40)).encode("utf-8")
+        run_path.write_bytes(data)
+        with open(run_path, "rb") as fh:
+            cut = ingest._cuts(fh.fileno(), len(data), 4)[3]
+        run_path.write_bytes(data[: cut + 4] + b"\xff" + data[cut + 5 :])
+        with open(run_path, encoding="utf-8") if mode == "text" else open(run_path, "rb") as fh:
+            with pytest.raises(UnicodeDecodeError) as want:
+                parse_run(fh)
+        with pytest.raises(UnicodeDecodeError) as got:
+            parse_in_parts(run_path, 4, mode)
+        assert str(got.value) == str(want.value)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+@settings(max_examples=150, deadline=None)
+@given(run_texts(), st.sampled_from([2, 3, 4]), st.sampled_from(["text", "binary"]))
+def test_parts_match_one_part_parse(tmp_path_factory, text, parts, mode):
+    path = tmp_path_factory.getbasetemp() / "parts.txt"
+    path.write_text(text, encoding="utf-8")
+    assert_parts_same(path, parts, mode)
