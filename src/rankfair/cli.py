@@ -37,9 +37,9 @@ from .ingest import (
 from .metrics import (
     MetricConfig,
     aggregates_to_csv,
-    evaluate_runset,
     reports_to_csv,
     reports_to_json,
+    score_runset,
 )
 from .simulate import (
     Testbed,
@@ -54,7 +54,7 @@ from .simulate import (
 )
 from .stats import (
     CorrelationReport,
-    correlation_report,
+    agreement,
     correlation_to_csv,
     correlation_to_json,
 )
@@ -477,18 +477,16 @@ def evaluate(**_):
     runset = _load_runset(cfg)
     table = _load_table(cfg, cfg.annotations, "human")
     qrels = _load_qrels_if_needed(cfg)
-    reports = evaluate_runset(
-        runset, qrels, table, _eval_scheme_names(cfg), _metric_config(cfg)
-    )
+    scores = score_runset(runset, qrels, table, _eval_scheme_names(cfg), _metric_config(cfg))
     _write_outputs(
         cfg.out,
         {
-            "metrics.csv": reports_to_csv(reports),
-            "metrics_system.csv": aggregates_to_csv(reports),
-            "metrics.json": reports_to_json(reports),
+            "metrics.csv": reports_to_csv(scores),
+            "metrics_system.csv": aggregates_to_csv(scores),
+            "metrics.json": reports_to_json(scores),
         },
     )
-    click.echo(f"evaluated {len(reports)} systems -> {cfg.out}")
+    click.echo(f"evaluated {len(scores.systems)} systems -> {cfg.out}")
 
 
 @main.command()
@@ -510,11 +508,9 @@ def compare(**_):
     qrels = _load_qrels_if_needed(cfg)
     mconfig = _metric_config(cfg)
     names = _eval_scheme_names(cfg)
-    reports_a = evaluate_runset(runset, qrels, table_a, names, mconfig)
-    reports_b = evaluate_runset(runset_b, qrels, table_b, names, mconfig)
-    report = correlation_report(
-        reports_a, reports_b, level="both", exclude_missing=cfg.exclude_missing
-    )
+    scores_a = score_runset(runset, qrels, table_a, names, mconfig)
+    scores_b = score_runset(runset_b, qrels, table_b, names, mconfig)
+    report = agreement(scores_a, scores_b, exclude_missing=cfg.exclude_missing)
     system_part = CorrelationReport(report.alpha, report.system_rows(), report.skipped)
     query_part = CorrelationReport(report.alpha, report.query_rows(), ())
     _write_outputs(
@@ -525,7 +521,7 @@ def compare(**_):
             "correlation.json": correlation_to_json(report),
         },
     )
-    click.echo(f"compared {len(reports_a)} systems -> {cfg.out}")
+    click.echo(f"compared {len(scores_a.systems)} systems -> {cfg.out}")
 
 
 @main.command()

@@ -7,7 +7,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -255,6 +255,38 @@ class MetricConfig:
 
 
 @dataclass(frozen=True)
+class ScoreTable:
+    """Per-query scores: read-only ``values`` of shape (metrics, systems,
+    queries), and ``absent`` (systems, queries) marking where a system
+    returned no ranking. Readers keep table order; :func:`score_runset`
+    sorts every axis."""
+
+    systems: tuple[str, ...]
+    queries: tuple[str, ...]
+    metrics: tuple[str, ...]
+    values: np.ndarray
+    absent: np.ndarray
+
+    def __post_init__(self):
+        for name in ("systems", "queries", "metrics"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        shape = (len(self.metrics), len(self.systems), len(self.queries))
+        for name, dtype, want in (("values", np.float64, shape), ("absent", bool, shape[1:])):
+            arr = np.array(getattr(self, name), dtype=dtype)
+            if arr.shape != want:
+                raise LengthMismatch(f"{name} has shape {arr.shape}, expected {want}")
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    def means(self) -> np.ndarray:
+        """Per-system means, shape (metrics, systems): ``math.fsum`` over the
+        queries divided by their count. A table without queries has none."""
+        q = len(self.queries)
+        means = [[math.fsum(row) / q for row in m] for m in self.values.tolist()] if q else []
+        return np.array(means, dtype=np.float64).reshape(len(means), len(self.systems))
+
+
+@dataclass(frozen=True)
 class MetricReport:
     """Per-query metric values and their per-system means.
 
@@ -274,16 +306,6 @@ class MetricReport:
     @property
     def metrics(self) -> tuple[str, ...]:
         return tuple(sorted(self.aggregates))
-
-
-def _aggregate(per_query: Mapping[str, Mapping[str, float]]) -> dict[str, float]:
-    queries = sorted(per_query)
-    if not queries:
-        return {}
-    metrics = sorted(per_query[queries[0]])
-    return {
-        m: math.fsum(per_query[q][m] for q in queries) / len(queries) for m in metrics
-    }
 
 
 def _evaluation_queries(runset: RunSet, qrels: Qrels | None, config: MetricConfig) -> list[str]:
@@ -381,20 +403,20 @@ def _reject_first_missing(evaluations: Sequence[CompiledEvaluation]) -> None:
         raise MissingDocument(f"doc {doc!r} has no membership for scheme {scheme.name!r}")
 
 
-def evaluate_runset(
+def score_runset(
     runset: RunSet,
     qrels: Qrels | None,
     table: GroupMembershipTable,
     schemes: Sequence[str],
     config: MetricConfig = MetricConfig(),
-) -> dict[str, MetricReport]:
+) -> ScoreTable:
     """Per-query AWRF for every scheme (plus their intersection) and system.
 
     The evaluation query set is the qrels' queries with at least one
     relevant document for qrels-based targets, and the union of the runs'
     queries otherwise. A system missing an evaluation query scores the
     worst-case divergence there; run queries outside the evaluation set are
-    ignored. Metric keys are ``awrf:<scheme>`` and ``awrf:overall``.
+    ignored. Metric keys, sorted, are ``awrf:<scheme>`` and ``awrf:overall``.
     """
     if not schemes:
         raise ConfigError("at least one scheme is required")
@@ -408,24 +430,34 @@ def evaluate_runset(
     if config.fallback is MissingPolicy.REJECT:
         _reject_first_missing(evaluations)
     columns = {
-        metric: evaluation.scores(tbl.matrix(scheme.name)[1]).tolist()
+        metric: evaluation.scores(tbl.matrix(scheme.name)[1])
         for (metric, tbl, scheme), evaluation in zip(work, evaluations)
     }
-    queries = evaluations[0].queries
-    absent = evaluations[0].runs.lengths == 0
-    reports: dict[str, MetricReport] = {}
-    for i, system_tag in enumerate(runset.systems):
-        per_query = {
-            query_id: {metric: values[i][j] for metric, values in columns.items()}
-            for j, query_id in enumerate(queries)
-        }
-        reports[system_tag] = MetricReport(
-            system_tag=system_tag,
-            per_query=per_query,
-            aggregates=_aggregate(per_query),
-            missing_queries=tuple(q for j, q in enumerate(queries) if absent[i, j]),
-        )
-    return reports
+    metrics = tuple(sorted(columns))
+    return ScoreTable(runset.systems, evaluations[0].queries, metrics,
+                      np.stack([columns[m] for m in metrics]), evaluations[0].runs.lengths == 0)
+
+
+def evaluate_runset(
+    runset: RunSet,
+    qrels: Qrels | None,
+    table: GroupMembershipTable,
+    schemes: Sequence[str],
+    config: MetricConfig = MetricConfig(),
+) -> dict[str, MetricReport]:
+    """:func:`score_runset` as one :class:`MetricReport` per system."""
+    scores = score_runset(runset, qrels, table, schemes, config)
+    return {system[0]: MetricReport(*system) for system in _per_system(scores)}
+
+
+def _per_system(scores: ScoreTable) -> Iterator[tuple]:
+    """Per system: its tag, ``{query: {metric: value}}``, ``{metric: mean}``
+    and the queries it is absent from."""
+    queries, metrics = scores.queries, scores.metrics
+    values, means = scores.values.transpose(1, 2, 0).tolist(), scores.means().T.tolist()
+    for system, rows, mean, absent in zip(scores.systems, values, means, scores.absent):
+        yield (system, {q: dict(zip(metrics, row)) for q, row in zip(queries, rows)},
+               dict(zip(metrics, mean)), tuple(q for q, gone in zip(queries, absent) if gone))
 
 
 # --- serialization -----------------------------------------------------------------
@@ -446,34 +478,32 @@ def json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def reports_to_csv(reports: Mapping[str, MetricReport]) -> str:
+def reports_to_csv(scores: ScoreTable) -> str:
     """Per-query rows as ``system,query,metric,value``."""
+    values = scores.values.transpose(1, 2, 0).tolist()
     records = (
         {"system": system_tag, "query": q, "metric": metric, "value": value}
-        for system_tag in sorted(reports)
-        for q in reports[system_tag].queries
-        for metric, value in sorted(reports[system_tag].per_query[q].items())
+        for system_tag, rows in zip(scores.systems, values)
+        for q, row in zip(scores.queries, rows)
+        for metric, value in zip(scores.metrics, row)
     )
     return csv_text(("system", "query", "metric", "value"), records)
 
 
-def aggregates_to_csv(reports: Mapping[str, MetricReport]) -> str:
+def aggregates_to_csv(scores: ScoreTable) -> str:
     """System-level rows as ``system,metric,value`` (mean over queries)."""
+    means = scores.means().T.tolist()
     records = (
-        {"system": system_tag, "metric": metric, "value": reports[system_tag].aggregates[metric]}
-        for system_tag in sorted(reports)
-        for metric in reports[system_tag].metrics
+        {"system": system_tag, "metric": metric, "value": value}
+        for system_tag, row in zip(scores.systems, means)
+        for metric, value in zip(scores.metrics, row)
     )
     return csv_text(("system", "metric", "value"), records)
 
 
-def reports_to_json(reports: Mapping[str, MetricReport]) -> str:
+def reports_to_json(scores: ScoreTable) -> str:
     payload = {
-        system_tag: {
-            "per_query": {q: dict(report.per_query[q]) for q in report.queries},
-            "aggregates": dict(report.aggregates),
-            "missing_queries": list(report.missing_queries),
-        }
-        for system_tag, report in reports.items()
+        system: {"per_query": per_query, "aggregates": aggregates, "missing_queries": list(absent)}
+        for system, per_query, aggregates, absent in _per_system(scores)
     }
     return json_text({"systems": payload})

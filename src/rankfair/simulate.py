@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -26,8 +26,8 @@ from .core import (
     RunSet,
 )
 from .errors import AccuracyOutOfRange, ConfigError, ConstantInput
-from .metrics import CompiledEvaluation, MetricConfig, csv_text, json_text
-from .stats import ALPHA, CorrelationResult, pearson, spearman
+from .metrics import CompiledEvaluation, MetricConfig, ScoreTable, csv_text, json_text
+from .stats import ALPHA, CorrelationResult, agreement
 
 
 @dataclass(frozen=True)
@@ -305,11 +305,12 @@ def accuracy_sweep(
     system scores against the ground-truth ones.
 
     Each (level, trial) cell corrupts the table hard-label style with its own
-    derived seed, re-evaluates every system, and records Pearson/Spearman
-    over system means plus a summary of per-query Pearson coefficients.
-    The run set is compiled once; every cell then scores only a new
-    membership matrix. Cells run serially: ``workers`` is accepted for
-    compatibility and must be at least 1.
+    derived seed, re-evaluates every system, and summarises the
+    :func:`~rankfair.stats.agreement` of the degraded and true scores; a
+    cell with constant system means raises ``ConstantInput``. The run set
+    is compiled once; every cell then scores only a new membership matrix.
+    Cells run serially: ``workers`` is accepted for compatibility and must
+    be at least 1.
     """
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
@@ -329,40 +330,36 @@ def accuracy_sweep(
     if not evaluation.queries:
         raise ConfigError("the sweep has no evaluation queries")
     ids, stored = table.columns(scheme_name)
-    truth = evaluation.scores(stored)
-    truth_sys = _system_means(truth)
+    truth = ScoreTable(evaluation.systems, evaluation.queries, (f"awrf:{scheme_name}",),
+                       evaluation.scores(stored)[None], evaluation.runs.lengths == 0)
 
     def run_cell(level_index: int, trial: int) -> SweepTrial:
         accuracy = level_list[level_index]
         seed_cell = _trial_seed(seed, level_index, trial)
         rows = _corrupted_rows(stored, ids, matrices[level_index], seed_cell, "hard")
-        degraded = evaluation.scores(rows)
-        sys_scores = _system_means(degraded)
-        pr = pearson(sys_scores, truth_sys)
-        sr = spearman(sys_scores, truth_sys)
-        rs: list[float] = []
-        significant = 0
-        skipped = 0
-        for q in range(len(evaluation.queries)):
-            try:
-                c = pearson(degraded[:, q], truth[:, q])
-            except ConstantInput:
-                skipped += 1
-                continue
-            rs.append(c.coefficient)
-            significant += c.p_value < alpha
+        degraded = replace(truth, values=evaluation.scores(rows)[None])
+        report = agreement(degraded, truth, alpha)
+        if not report.system_rows():
+            sides = [side for side, t in (("degraded", degraded), ("true", truth))
+                     if len(set(t.means()[0].tolist())) == 1]
+            raise ConstantInput(f"accuracy {accuracy}, trial {trial}: "
+                                f"the {' and '.join(sides)} system means are constant")
+        (system,) = report.system_rows()
+        queries = [row.pearson for row in report.query_rows()]
+        rs = [c.coefficient for c in queries]
         count = len(rs)
+        significant = sum(c.p_value < alpha for c in queries)
         return SweepTrial(
             accuracy=accuracy,
             trial=trial,
-            pearson=pr,
-            spearman=sr,
-            query_r_mean=math.fsum(rs) / count if count else float("nan"),
-            query_r_min=min(rs) if count else float("nan"),
-            query_r_max=max(rs) if count else float("nan"),
-            query_frac_significant=significant / count if count else float("nan"),
+            pearson=system.pearson,
+            spearman=system.spearman,
+            query_r_mean=math.fsum(rs) / count if count else math.nan,
+            query_r_min=min(rs, default=math.nan),
+            query_r_max=max(rs, default=math.nan),
+            query_frac_significant=significant / count if count else math.nan,
             query_count=count,
-            query_skipped=skipped,
+            query_skipped=len(report.skipped),
         )
 
     results = [run_cell(li, ti) for li in range(len(level_list)) for ti in range(trials)]
@@ -381,11 +378,6 @@ def accuracy_sweep(
             )
         )
     return SweepResult(tuple(level_list), tuple(results), tuple(summary))
-
-
-def _system_means(scores: np.ndarray) -> np.ndarray:
-    """Per-system mean over queries, summed exactly as report aggregates are."""
-    return np.array([math.fsum(row) / len(row) for row in scores.tolist()])
 
 
 def _trial_record(t: SweepTrial) -> dict:

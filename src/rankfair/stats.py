@@ -19,7 +19,7 @@ from .errors import (
     SystemSetMismatch,
     TooFewSamples,
 )
-from .metrics import MetricReport, csv_text, json_text
+from .metrics import MetricReport, ScoreTable, csv_text, json_text
 
 #: Significance threshold used when flagging correlations.
 ALPHA = 0.05
@@ -57,8 +57,10 @@ def _validated_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pearson_r(x: np.ndarray, y: np.ndarray) -> float:
-    dx = x - np.mean(x)
-    dy = y - np.mean(y)
+    # np.mean of a float64 vector is np.add.reduce over it divided by its
+    # length; the same two steps give the same bits without mean's overhead
+    dx = x - np.add.reduce(x) / x.shape[0]
+    dy = y - np.add.reduce(y) / y.shape[0]
     sxy = float(np.dot(dx, dy))
     sxx = float(np.dot(dx, dx))
     syy = float(np.dot(dy, dy))
@@ -85,19 +87,21 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
     return CorrelationResult(r, _t_p_value(r, x.shape[0]), x.shape[0])
 
 
-def average_ranks(v: Sequence[float]) -> np.ndarray:
-    """1-based ranks; tied values share the mean of their rank positions."""
+def average_ranks(v: Sequence[float] | np.ndarray) -> np.ndarray:
+    """1-based ranks of a vector, or of each column of a 2-D array; tied
+    values share the mean of their rank positions."""
     v = np.asarray(v, dtype=np.float64)
     n = v.shape[0]
-    order = np.argsort(v, kind="stable")
-    ranks = np.empty(n, dtype=np.float64)
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and v[order[j + 1]] == v[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    order = np.argsort(v, axis=0, kind="stable")
+    ordered = np.take_along_axis(v, order, axis=0)
+    at = np.arange(n).reshape((n,) + (1,) * (v.ndim - 1))
+    # a run of ties spans the sorted positions from its first to its last member
+    starts = np.ones(v.shape, dtype=bool)
+    starts[1:] = ordered[1:] != ordered[:-1]
+    first = np.maximum.accumulate(np.where(starts, at, 0), axis=0)
+    last = np.minimum.accumulate(np.where(np.roll(starts, -1, axis=0), at, n)[::-1], axis=0)[::-1]
+    ranks = np.empty(v.shape, dtype=np.float64)
+    np.put_along_axis(ranks, order, (first + last) / 2.0 + 1.0, axis=0)
     return ranks
 
 
@@ -152,7 +156,7 @@ class CorrelationRow:
 
 @dataclass(frozen=True)
 class CorrelationReport:
-    """Correlation tables between two sets of metric reports.
+    """Correlation tables between two sets of scores of the same systems.
 
     ``skipped`` records (level, metric) pairs dropped because one side was
     constant, so degenerate evaluations stay visible.
@@ -169,30 +173,64 @@ class CorrelationReport:
         return tuple(r for r in self.rows if r.level != "system")
 
 
-def _check_aligned(
-    reports_a: Mapping[str, MetricReport], reports_b: Mapping[str, MetricReport]
-) -> tuple[list[str], list[str], list[str]]:
-    systems_a = set(reports_a)
-    systems_b = set(reports_b)
-    if systems_a != systems_b:
-        raise SystemSetMismatch(
-            f"only in first: {sorted(systems_a - systems_b)}; "
-            f"only in second: {sorted(systems_b - systems_a)}"
-        )
-    systems = sorted(systems_a)
-    queries = reports_a[systems[0]].queries
-    for reports in (reports_a, reports_b):
-        for system_tag in systems:
-            if reports[system_tag].queries != queries:
-                raise QuerySetMismatch(
-                    f"system {system_tag!r} covers a different query set"
-                )
-    metrics = reports_a[systems[0]].metrics
-    for reports in (reports_a, reports_b):
-        for system_tag in systems:
-            if reports[system_tag].metrics != metrics:
-                raise ConfigError(f"system {system_tag!r} reports different metrics")
-    return systems, list(queries), list(metrics)
+def agreement(
+    a: ScoreTable, b: ScoreTable, alpha: float = ALPHA, exclude_missing: bool = False
+) -> CorrelationReport:
+    """Correlate two score tables of the same systems, queries and metrics.
+
+    Per metric, the system row pairs the per-system means, and each query
+    row the systems' scores on that query; the system rows of every metric
+    come first. A pair with a constant side is listed in ``skipped``.
+    ``exclude_missing`` drops the queries any system is absent from in
+    either table. Tables without queries give no rows.
+    """
+    for error, name in ((SystemSetMismatch, "systems"), (QuerySetMismatch, "queries"),
+                        (ConfigError, "metrics")):
+        first, second = getattr(a, name), getattr(b, name)
+        if first != second:
+            raise error(f"{name} differ: only in first: {sorted(set(first) - set(second))}; "
+                        f"only in second: {sorted(set(second) - set(first))}")
+    n = len(a.systems)
+    if n < 3:
+        raise TooFewSamples(f"need at least 3 systems, got {n}")
+    if not a.queries:
+        return CorrelationReport(alpha, ())
+    keep = ~(a.absent | b.absent).any(axis=0) if exclude_missing else np.ones(len(a.queries), bool)
+    pairs = [("system", m) for m in a.metrics]
+    pairs += [(f"query:{q}", m) for m in a.metrics for q in itertools.compress(a.queries, keep)]
+    # one contiguous row of system scores per pair, in the order of ``pairs``
+    x, y = (
+        np.concatenate([t.means(), t.values[:, :, keep].transpose(0, 2, 1).reshape(-1, n)])
+        for t in (a, b)
+    )
+    constant = np.all(x == x[:, :1], axis=1) | np.all(y == y[:, :1], axis=1)
+    rx, ry = (np.ascontiguousarray(average_ranks(v.T).T) for v in (x, y))
+    rows: list[CorrelationRow] = []
+    for i, pair in enumerate(pairs):
+        if not constant[i]:
+            r, rho = _pearson_r(x[i], y[i]), _pearson_r(rx[i], ry[i])
+            pr = CorrelationResult(r, _t_p_value(r, n), n)
+            sr = CorrelationResult(rho, _t_p_value(rho, n), n)
+            rows.append(CorrelationRow(*pair, pr, sr, pr.p_value < alpha and sr.p_value < alpha))
+    return CorrelationReport(alpha, tuple(rows), tuple(itertools.compress(pairs, constant)))
+
+
+def _score_table(reports: Mapping[str, MetricReport]) -> ScoreTable:
+    """Reports of every system as one table; the systems must cover the
+    same queries and metrics."""
+    systems = sorted(reports)
+    first = reports[systems[0]] if systems else MetricReport("", {}, {})
+    queries, metrics = first.queries, first.metrics
+    for system_tag in systems:
+        if reports[system_tag].queries != queries:
+            raise QuerySetMismatch(f"system {system_tag!r} covers a different query set")
+        if reports[system_tag].metrics != metrics:
+            raise ConfigError(f"system {system_tag!r} reports different metrics")
+    shape = (len(metrics), len(systems), len(queries))
+    values = [[[reports[s].per_query[q][m] for q in queries] for s in systems] for m in metrics]
+    absent = [[q in reports[s].missing_queries for q in queries] for s in systems]
+    return ScoreTable(systems, queries, metrics,
+                      np.reshape(values, shape), np.reshape(absent, shape[1:]))
 
 
 def correlation_report(
@@ -200,56 +238,21 @@ def correlation_report(
     reports_b: Mapping[str, MetricReport],
     level: str = "both",
     alpha: float = ALPHA,
-    spearman_method: str = "t",
     exclude_missing: bool = False,
 ) -> CorrelationReport:
-    """Correlate metric scores computed under two annotation sources.
+    """:func:`agreement` of two sets of metric reports, keeping the rows
+    and skipped pairs of ``level`` (``system``, ``query`` or ``both``).
 
-    System level pairs the per-system means (one point per system); query
-    level pairs per-system scores within each query (one row per query and
-    metric). ``exclude_missing`` drops queries any system failed to return,
-    on either side, from the query-level rows.
+    The system level correlates per-system means of the per-query values,
+    as :func:`~rankfair.metrics.evaluate_runset` computes its aggregates.
     """
     if level not in ("system", "query", "both"):
         raise ValueError(f"unknown level {level!r}")
-    systems, queries, metrics = _check_aligned(reports_a, reports_b)
-    if len(systems) < 3:
-        raise TooFewSamples(f"need at least 3 systems, got {len(systems)}")
-    rows: list[CorrelationRow] = []
-    skipped: list[tuple[str, str]] = []
-
-    def correlate(tag: str, metric: str, xs, ys):
-        try:
-            pr = pearson(xs, ys)
-            sr = spearman(xs, ys, method=spearman_method)
-        except ConstantInput:
-            skipped.append((tag, metric))
-            return
-        rows.append(
-            CorrelationRow(
-                tag, metric, pr, sr, pr.p_value < alpha and sr.p_value < alpha
-            )
-        )
-
-    if level in ("system", "both"):
-        for metric in metrics:
-            xs = [reports_a[s].aggregates[metric] for s in systems]
-            ys = [reports_b[s].aggregates[metric] for s in systems]
-            correlate("system", metric, xs, ys)
-    if level in ("query", "both"):
-        kept_queries = queries
-        if exclude_missing:
-            dropped = set()
-            for reports in (reports_a, reports_b):
-                for system_tag in systems:
-                    dropped.update(reports[system_tag].missing_queries)
-            kept_queries = [q for q in queries if q not in dropped]
-        for metric in metrics:
-            for query_id in kept_queries:
-                xs = [reports_a[s].per_query[query_id][metric] for s in systems]
-                ys = [reports_b[s].per_query[query_id][metric] for s in systems]
-                correlate(f"query:{query_id}", metric, xs, ys)
-    return CorrelationReport(alpha, tuple(rows), tuple(skipped))
+    report = agreement(_score_table(reports_a), _score_table(reports_b), alpha, exclude_missing)
+    kept = ("system", "query") if level == "both" else (level,)
+    rows = tuple(row for row in report.rows if row.level.split(":")[0] in kept)
+    skipped = tuple(pair for pair in report.skipped if pair[0].split(":")[0] in kept)
+    return CorrelationReport(alpha, rows, skipped)
 
 
 def _record(row: CorrelationRow) -> dict:

@@ -128,14 +128,14 @@ class TestEvaluate:
     def test_agrees_with_library(self, workspace):
         tmp_path, config_path, _ = workspace
         invoke("evaluate", "--config", str(config_path))
-        from rankfair.metrics import MetricConfig, evaluate_runset, reports_to_csv
+        from rankfair.metrics import MetricConfig, reports_to_csv, score_runset
 
         scheme = GroupScheme("pair", ("g0", "g1"))
         runset = parse_run(RUNS)
         qrels = parse_qrels(QRELS)
         table = parse_annotations(HUMAN, [scheme])
-        reports = evaluate_runset(runset, qrels, table, ["pair"], MetricConfig())
-        assert read_out(tmp_path, "metrics.csv") == reports_to_csv(reports)
+        scores = score_runset(runset, qrels, table, ["pair"], MetricConfig())
+        assert read_out(tmp_path, "metrics.csv") == reports_to_csv(scores)
 
 
 class TestCompare:
@@ -469,7 +469,8 @@ class TestCost:
         assert result.exit_code == 1
 
 
-# (command and flags, config changes, flag or config key the message names)
+# (command and flags, config changes, what the message names): the flag or
+# config key of a ConfigError, or another error's class and text
 BAD_INPUTS = [
     (["sweep", "--trials", "0"], {}, "--trials"),
     (["sweep", "--levels", "0.5,abc"], {}, "--levels"),
@@ -531,6 +532,12 @@ BAD_INPUTS = [
      "'schemes'"),
     (["evaluate", "--patience", "1.5"], {}, "--patience"),
     (["evaluate"], {"attention": {"patience": 1.5}}, "'attention'"),
+    (["sweep", "--levels", "0.5,1.0", "--trials", "1"],
+     {"testbed": {"queries": 2, "docs_per_query": 4, "groups": 2, "systems": 3, "seed": 1}},
+     "ConstantInput: accuracy 0.5, trial 0: the degraded system means are constant"),
+    (["sweep", "--levels", "0.5,1.0", "--trials", "1"],
+     {"testbed": {"queries": 2, "docs_per_query": 10, "groups": 2, "systems": 2, "seed": 1}},
+     "TooFewSamples: need at least 3 systems, got 2"),
 ]
 
 
@@ -548,7 +555,8 @@ def test_bad_input_is_one_named_error_line(tmp_path, args, changes, name):
     result = CliRunner().invoke(main, [*args, *config_flag])
     assert result.exit_code == 1
     lines = result.output.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("Error: ConfigError: "), result.output
+    error = name.split(": ")[0] if ": " in name else "ConfigError"
+    assert len(lines) == 1 and lines[0].startswith(f"Error: {error}: "), result.output
     assert name in lines[0]
     assert not (tmp_path / "out").exists()
 
@@ -626,3 +634,27 @@ def test_readme_config_example_loads(tmp_path):
     example = readme.split("A typical config:", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
     cfg = load_config(write_config(tmp_path, json.loads(example)))
     assert cfg.schemes[0].name == "gender" and cfg.testbed is not None
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    from rankfair.ingest import write_annotations, write_qrels, write_run
+    from rankfair.simulate import TestbedConfig, apply_confusion, confusion_for_accuracy, generate_testbed
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    example = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    bed = generate_testbed(TestbedConfig(n_queries=3, docs_per_query=40, n_groups=4, n_systems=5, seed=2))
+    model = apply_confusion(bed.table, confusion_for_accuracy(bed.table.scheme("group"), 0.7), seed=3)
+    (tmp_path / "runs.txt").write_text(write_run(bed.runset))
+    (tmp_path / "qrels.txt").write_text(write_qrels(bed.qrels))
+    labels = {"\tgroup\t": "\tgender\t", "g0:": "male:", "g1:": "female:", "g2:": "nonbinary:",
+              "g3:": "unknown:"}
+    for name, table in (("human.tsv", bed.table), ("model.tsv", model)):
+        text = write_annotations(table)
+        for old, new in labels.items():
+            text = text.replace(old, new)
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    exec(example, namespace)
+    assert len(namespace["report"].system_rows()) == 1
+    assert namespace["scores_h"].values.shape == (1, 5, 3)

@@ -26,6 +26,7 @@ from rankfair.metrics import (
     kl_divergence,
     reports_to_csv,
     reports_to_json,
+    score_runset,
     worst_case_divergence,
 )
 
@@ -251,11 +252,11 @@ class TestEvaluateRunset:
     def test_deterministic_and_table_copy_invariant(self):
         runset, qrels, table = small_experiment()
         config = MetricConfig()
-        first = evaluate_runset(runset, qrels, table, ["pair"], config)
+        first = score_runset(runset, qrels, table, ["pair"], config)
         copy = GroupMembershipTable(
             [G2], {"pair": dict(table.docs("pair"))}, provenance="model"
         )
-        second = evaluate_runset(runset, qrels, copy, ["pair"], config)
+        second = score_runset(runset, qrels, copy, ["pair"], config)
         assert reports_to_json(first) == reports_to_json(second)
 
     def test_single_query_mean(self):
@@ -285,8 +286,8 @@ class TestEvaluateRunset:
 
         text = write_qrels(qrels)
         reversed_qrels = parse_qrels("".join(reversed(text.splitlines(keepends=True))))
-        a = evaluate_runset(runset, qrels, table, ["pair"])
-        b = evaluate_runset(runset, reversed_qrels, table, ["pair"])
+        a = score_runset(runset, qrels, table, ["pair"])
+        b = score_runset(runset, reversed_qrels, table, ["pair"])
         assert reports_to_json(a) == reports_to_json(b)
 
     def test_missing_query_scores_worst_case(self):
@@ -345,18 +346,18 @@ class TestEvaluateRunset:
 class TestReportSerialization:
     def test_csv_shapes(self):
         runset, qrels, table = small_experiment(n_queries=2)
-        reports = evaluate_runset(runset, qrels, table, ["pair"])
-        lines = reports_to_csv(reports).splitlines()
+        scores = score_runset(runset, qrels, table, ["pair"])
+        lines = reports_to_csv(scores).splitlines()
         assert lines[0] == "system,query,metric,value"
         assert len(lines) == 1 + 2 * 2  # two systems x two queries x one metric
-        agg = aggregates_to_csv(reports).splitlines()
+        agg = aggregates_to_csv(scores).splitlines()
         assert agg[0] == "system,metric,value"
         assert len(agg) == 3
 
     def test_json_round_trip_values(self):
         runset, qrels, table = small_experiment(n_queries=2)
         reports = evaluate_runset(runset, qrels, table, ["pair"])
-        payload = json.loads(reports_to_json(reports))
+        payload = json.loads(reports_to_json(score_runset(runset, qrels, table, ["pair"])))
         assert payload["systems"]["sysA"]["aggregates"]["awrf:pair"] == pytest.approx(
             reports["sysA"].aggregates["awrf:pair"], abs=0
         )

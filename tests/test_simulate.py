@@ -11,7 +11,7 @@ from rankfair.core import (
     normalize,
     one_hot,
 )
-from rankfair.errors import AccuracyOutOfRange, ConfigError
+from rankfair.errors import AccuracyOutOfRange, ConfigError, ConstantInput
 from rankfair.metrics import MetricConfig, evaluate_runset
 from rankfair.stats import pearson, spearman
 from rankfair import simulate
@@ -272,6 +272,13 @@ class TestAccuracySweep:
         bed = generate_testbed(SMALL)
         with pytest.raises(ConfigError):
             accuracy_sweep(simulate.Testbed(bed.table, Qrels({}), bed.runset), [1.0], trials=1)
+
+    def test_constant_system_means_name_the_cell_and_side(self):
+        flat = simulate.TestbedConfig(n_queries=2, docs_per_query=20, n_groups=2, n_systems=3,
+                                      spread=0.0, seed=1)  # every system ranks alike
+        message = "accuracy 1.0, trial 0: the degraded and true system means are constant"
+        with pytest.raises(ConstantInput, match=message):
+            accuracy_sweep(generate_testbed(flat), [1.0], trials=1)
 
     def test_workers_below_one_rejected(self):
         bed = generate_testbed(SMALL)

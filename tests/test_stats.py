@@ -1,18 +1,28 @@
 import math
 
+from typing import Mapping
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad
 
 from rankfair.errors import (
+    ConfigError,
     ConstantInput,
     LengthMismatch,
     QuerySetMismatch,
     SystemSetMismatch,
     TooFewSamples,
 )
-from rankfair.metrics import MetricReport
+from rankfair.metrics import MetricReport, ScoreTable
 from rankfair.stats import (
+    ALPHA,
+    CorrelationReport,
+    CorrelationRow,
+    agreement,
     average_ranks,
     correlation_report,
     correlation_to_csv,
@@ -122,6 +132,25 @@ def pearson_p(r, n):
     return _t_p_value(r, n)
 
 
+def test_pearson_r_bit_identical_to_np_mean_form():
+    from rankfair.stats import _pearson_r
+
+    def with_np_mean(x, y):
+        dx = x - np.mean(x)
+        dy = y - np.mean(y)
+        r = float(np.dot(dx, dy)) / math.sqrt(float(np.dot(dx, dx)) * float(np.dot(dy, dy)))
+        return max(-1.0, min(1.0, r))
+
+    rng = np.random.default_rng(107)
+    for case in range(3000):
+        n = int(rng.integers(3, 300))
+        x = rng.normal(size=(n, 2))[:, case % 2] * 10.0 ** int(rng.integers(-100, 100))
+        y = rng.integers(0, 4, size=n) / 2.0 if case % 3 == 0 else rng.standard_cauchy(n)
+        if np.all(x == x[0]) or np.all(y == y[0]):
+            continue
+        assert _pearson_r(x, y).hex() == with_np_mean(x, y).hex()
+
+
 def test_t_p_value_bit_identical_to_scipy_stats():
     from scipy import stats as sp_stats
 
@@ -179,6 +208,17 @@ class TestSpearman:
         for _ in range(200):
             v = rng.integers(0, 6, size=int(rng.integers(3, 30))).astype(float)
             np.testing.assert_array_equal(average_ranks(v), ranks_oracle(v))
+
+    def test_ranks_of_columns_match_oracle_bytes(self):
+        rng = np.random.default_rng(101)
+        for _ in range(300):
+            shape = (int(rng.integers(1, 30)), int(rng.integers(1, 6)))
+            v = rng.choice([-0.0, 0.0, 1.0, 2.5, -3.0, 1e-300], size=shape)
+            want = np.array([ranks_oracle(column.tolist()) for column in v.T]).T
+            got = average_ranks(v)
+            assert got.tobytes() == want.tobytes()
+            for j, column in enumerate(v.T):
+                assert average_ranks(column).tobytes() == got[:, j].tobytes()
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(79)
@@ -311,3 +351,204 @@ class TestCorrelationReport:
         payload = json.loads(correlation_to_json(result))
         assert payload["alpha"] == 0.05
         assert payload["rows"][0]["pearson_r"] == 1.0
+
+
+# --- agreement against the per-report dict walk it replaced --------------------------
+
+
+def _reference_check_aligned(
+    reports_a: Mapping[str, MetricReport], reports_b: Mapping[str, MetricReport]
+) -> tuple[list[str], list[str], list[str]]:
+    systems_a = set(reports_a)
+    systems_b = set(reports_b)
+    if systems_a != systems_b:
+        raise SystemSetMismatch(
+            f"only in first: {sorted(systems_a - systems_b)}; "
+            f"only in second: {sorted(systems_b - systems_a)}"
+        )
+    systems = sorted(systems_a)
+    queries = reports_a[systems[0]].queries
+    for reports in (reports_a, reports_b):
+        for system_tag in systems:
+            if reports[system_tag].queries != queries:
+                raise QuerySetMismatch(
+                    f"system {system_tag!r} covers a different query set"
+                )
+    metrics = reports_a[systems[0]].metrics
+    for reports in (reports_a, reports_b):
+        for system_tag in systems:
+            if reports[system_tag].metrics != metrics:
+                raise ConfigError(f"system {system_tag!r} reports different metrics")
+    return systems, list(queries), list(metrics)
+
+
+def reference_correlation_report(
+    reports_a: Mapping[str, MetricReport],
+    reports_b: Mapping[str, MetricReport],
+    level: str = "both",
+    alpha: float = ALPHA,
+    spearman_method: str = "t",
+    exclude_missing: bool = False,
+) -> CorrelationReport:
+    """Correlate metric scores computed under two annotation sources.
+
+    System level pairs the per-system means (one point per system); query
+    level pairs per-system scores within each query (one row per query and
+    metric). ``exclude_missing`` drops queries any system failed to return,
+    on either side, from the query-level rows.
+    """
+    if level not in ("system", "query", "both"):
+        raise ValueError(f"unknown level {level!r}")
+    systems, queries, metrics = _reference_check_aligned(reports_a, reports_b)
+    if len(systems) < 3:
+        raise TooFewSamples(f"need at least 3 systems, got {len(systems)}")
+    rows: list[CorrelationRow] = []
+    skipped: list[tuple[str, str]] = []
+
+    def correlate(tag: str, metric: str, xs, ys):
+        try:
+            pr = pearson(xs, ys)
+            sr = spearman(xs, ys, method=spearman_method)
+        except ConstantInput:
+            skipped.append((tag, metric))
+            return
+        rows.append(
+            CorrelationRow(
+                tag, metric, pr, sr, pr.p_value < alpha and sr.p_value < alpha
+            )
+        )
+
+    if level in ("system", "both"):
+        for metric in metrics:
+            xs = [reports_a[s].aggregates[metric] for s in systems]
+            ys = [reports_b[s].aggregates[metric] for s in systems]
+            correlate("system", metric, xs, ys)
+    if level in ("query", "both"):
+        kept_queries = queries
+        if exclude_missing:
+            dropped = set()
+            for reports in (reports_a, reports_b):
+                for system_tag in systems:
+                    dropped.update(reports[system_tag].missing_queries)
+            kept_queries = [q for q in queries if q not in dropped]
+        for metric in metrics:
+            for query_id in kept_queries:
+                xs = [reports_a[s].per_query[query_id][metric] for s in systems]
+                ys = [reports_b[s].per_query[query_id][metric] for s in systems]
+                correlate(f"query:{query_id}", metric, xs, ys)
+    return CorrelationReport(alpha, tuple(rows), tuple(skipped))
+
+
+def reports_of(table):
+    """One MetricReport per system of a table; aggregates are fsum over queries / Q."""
+    reports = {}
+    for i, system in enumerate(table.systems):
+        per_query = {
+            q: {m: float(table.values[k, i, j]) for k, m in enumerate(table.metrics)}
+            for j, q in enumerate(table.queries)
+        }
+        aggregates = {
+            m: math.fsum(table.values[k, i].tolist()) / len(table.queries)
+            for k, m in enumerate(table.metrics)
+        }
+        missing = tuple(q for j, q in enumerate(table.queries) if table.absent[i, j])
+        reports[system] = MetricReport(system, per_query, aggregates, missing)
+    return reports
+
+
+def flat(report):
+    """Every field of a report, floats as their hex form."""
+    def result(c):
+        return c.coefficient.hex(), c.p_value.hex(), c.n
+
+    rows = [(r.level, r.metric, result(r.pearson), result(r.spearman), r.significant)
+            for r in report.rows]
+    return report.alpha, rows, list(report.skipped)
+
+
+def rare(p):
+    """Booleans that are True about once in ``p`` draws."""
+    return st.integers(0, p - 1).map(lambda v: v == 0)
+
+
+@st.composite
+def table_pairs(draw):
+    """Two tables of 3-12 systems, 1-8 queries and 1-3 metrics, with ties,
+    signed zeros, constant query columns and constant metrics on either
+    side, and absent masks."""
+    n_systems, n_queries, n_metrics = (draw(st.integers(lo, hi)) for lo, hi in ((3, 12), (1, 8), (1, 3)))
+    shape = (2, n_metrics, n_systems, n_queries)
+    pool = st.sampled_from([0.0, -0.0, 0.25, 1.0]) | st.floats(0, 1, allow_subnormal=False)
+    values = draw(arrays(np.float64, shape, elements=pool))
+    flat_queries = draw(arrays(bool, (2, n_metrics, 1, n_queries), elements=rare(4)))
+    values = np.where(flat_queries, values[:, :, :1, :], values)
+    flat_metrics = draw(arrays(bool, (2, n_metrics, 1, 1), elements=rare(6)))
+    values = np.where(flat_metrics, values[:, :, :1, :1], values)
+    absent = draw(arrays(bool, (2, n_systems, n_queries), elements=rare(8)))
+    names = (
+        [f"sys{i:02d}" for i in range(n_systems)],
+        [f"q{j}" for j in range(n_queries)],
+        [f"awrf:m{k}" for k in range(n_metrics)],
+    )
+    return tuple(ScoreTable(*names, values[side], absent[side]) for side in range(2))
+
+
+def outcome(fn, *args, **kwargs):
+    """A report's fields, or the class of the exception it raised."""
+    try:
+        return flat(fn(*args, **kwargs))
+    except Exception as exc:  # deviations that underflow make r divide by zero
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(table_pairs(), st.booleans())
+def test_agreement_matches_the_report_walk(pair, exclude_missing):
+    a, b = pair
+    reports = reports_of(a), reports_of(b)
+    want = outcome(reference_correlation_report, *reports, exclude_missing=exclude_missing)
+    assert outcome(agreement, a, b, exclude_missing=exclude_missing) == want
+    assert outcome(correlation_report, *reports, exclude_missing=exclude_missing) == want
+
+
+class TestAgreement:
+    def table(self, values, absent=None, systems=("s0", "s1", "s2"), metrics=("awrf:g",)):
+        values = np.asarray(values, dtype=np.float64).reshape(len(metrics), len(systems), -1)
+        queries = tuple(f"q{j}" for j in range(values.shape[2]))
+        if absent is None:
+            absent = np.zeros(values.shape[1:], dtype=bool)
+        return ScoreTable(systems, queries, metrics, values, absent)
+
+    def test_exclude_missing_reads_both_masks(self):
+        values = [[0.1, 0.5, 0.2], [0.2, 0.4, 0.3], [0.3, 0.2, 0.5]]
+        absent = np.zeros((3, 3), dtype=bool)
+        absent[1, 2] = True
+        a, b = self.table(values), self.table(values, absent)
+        for first, second in ((a, b), (b, a)):
+            report = agreement(first, second, exclude_missing=True)
+            assert [row.level for row in report.rows] == ["system", "query:q0", "query:q1"]
+        assert len(agreement(a, b).rows) == 4
+
+    def test_too_few_systems_names_systems(self):
+        two = self.table([[0.1, 0.2], [0.3, 0.4]], systems=("s0", "s1"))
+        with pytest.raises(TooFewSamples, match="need at least 3 systems, got 2"):
+            agreement(two, two)
+
+    def test_mismatches(self):
+        a = self.table(np.arange(6.0))
+        with pytest.raises(SystemSetMismatch, match="only in first: \\['s2'\\]"):
+            agreement(a, self.table(np.arange(6.0), systems=("s0", "s1", "s3")))
+        with pytest.raises(QuerySetMismatch):
+            agreement(a, self.table(np.arange(9.0)))
+        with pytest.raises(ConfigError):
+            agreement(a, self.table(np.arange(6.0), metrics=("awrf:h",)))
+
+    def test_no_queries_no_rows(self):
+        empty = self.table(np.zeros((1, 3, 0)))
+        assert agreement(empty, empty) == CorrelationReport(ALPHA, ())
+
+    def test_table_is_read_only_and_checked(self):
+        table = self.table(np.arange(6.0))
+        assert not table.values.flags.writeable and not table.absent.flags.writeable
+        with pytest.raises(LengthMismatch):
+            ScoreTable(("s0",), ("q0",), ("m",), np.zeros((1, 2, 1)), np.zeros((1, 1), dtype=bool))
