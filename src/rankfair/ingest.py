@@ -394,17 +394,35 @@ def _read_into(pipe: IO[bytes], column: np.ndarray) -> np.ndarray:
 
 
 def write_run(runset: RunSet) -> str:
-    """Serialize a RunSet; systems and queries sorted, ranks renumbered 1..n."""
+    """Serialize a RunSet; systems and queries sorted, ranks renumbered 1..n.
+
+    Each distinct value is formatted once per system and lines are put
+    together by one join per ranking. Scores are made unique by their bit
+    pattern, not by value: ``-0.0 == 0.0`` but their reprs differ, so
+    only bitwise-equal scores may share a text.
+    """
     out = []
+    vocabulary = np.array(runset.vocabulary, dtype=object)
+    ranks: list[str] = []  # " {i} " for i = 1, 2, ...; grown to the longest ranking
     for system_tag in runset.systems:
-        for query_id in runset.queries(system_tag):
-            start, stop = runset.span(system_tag, query_id)
-            entries = zip(runset.doc_list(start, stop), runset.scores[start:stop].tolist())
-            lines = [
-                f"{query_id} Q0 {doc_id} {position} {score!r} {system_tag}\n"
-                for position, (doc_id, score) in enumerate(entries, start=1)
-            ]
-            out.append("".join(lines))
+        queries = runset.queries(system_tag)
+        spans = [runset.span(system_tag, query_id) for query_id in queries]
+        codes = np.concatenate([runset.codes[start:stop] for start, stop in spans])
+        scores = np.concatenate([runset.scores[start:stop] for start, stop in spans])
+        bits, inverse = np.unique(scores.view(np.int64), return_inverse=True)
+        texts = np.array([repr(score) for score in bits.view(np.float64).tolist()], dtype=object)
+        docs, score_texts = vocabulary[codes].tolist(), texts[inverse].tolist()
+        tail = f" {system_tag}\n"
+        at = 0
+        for query_id, (start, stop) in zip(queries, spans):
+            n = stop - start
+            ranks += [f" {i} " for i in range(len(ranks) + 1, n + 1)]
+            parts = [f"{query_id} Q0 ", "", "", "", tail] * n
+            parts[1::5] = docs[at : at + n]
+            parts[2::5] = ranks[:n]
+            parts[3::5] = score_texts[at : at + n]
+            out.append("".join(parts))
+            at += n
     return "".join(out)
 
 
@@ -564,7 +582,10 @@ def parse_annotations(
 def write_annotations(table: GroupMembershipTable, format: str = "tsv") -> str:
     """Serialize a table; rows grouped by scheme name, then document id.
 
-    Only labels with non-zero weight are written, in scheme order.
+    Only labels with non-zero weight are written, in scheme order. A TSV
+    weight text is formatted once per distinct row; rows are made unique
+    by their bit pattern, not by value, so that every row sharing a text
+    holds exactly the floats whose reprs it shows.
     """
     if format not in ("tsv", "jsonl"):
         raise ValueError(f"unknown annotation format {format!r}")
@@ -572,13 +593,26 @@ def write_annotations(table: GroupMembershipTable, format: str = "tsv") -> str:
     for scheme_name in table.scheme_names:
         groups = table.scheme(scheme_name).groups
         ids, m = table.columns(scheme_name)
-        for doc_id, weights in zip(ids, m.tolist()):
-            pairs = [(label, weight) for label, weight in zip(groups, weights) if weight != 0.0]
-            if format == "tsv":
-                spec = ",".join(f"{label}:{weight!r}" for label, weight in pairs)
-                out.append(f"{doc_id}\t{scheme_name}\t{spec}\n")
-            else:
-                obj = {"doc": doc_id, "scheme": scheme_name, "weights": dict(pairs)}
+        if format == "tsv":
+            # each row's bytes as one opaque item: sorted by memcmp, far faster
+            # than np.unique(axis=0), which compares field by field
+            row_bytes = np.dtype((np.void, m.itemsize * len(groups)))
+            bits, inverse = np.unique(
+                np.ascontiguousarray(m).view(row_bytes).reshape(-1), return_inverse=True
+            )
+            rows = bits.view(np.float64).reshape(-1, len(groups)).tolist()
+            specs = np.array([
+                ",".join(f"{label}:{w!r}" for label, w in zip(groups, row) if w != 0.0)
+                for row in rows
+            ], dtype=object)
+            parts = ["", f"\t{scheme_name}\t", "", "\n"] * len(ids)
+            parts[0::4] = ids
+            parts[2::4] = specs[inverse].tolist()
+            out.append("".join(parts))
+        else:
+            for doc_id, weights in zip(ids, m.tolist()):
+                pairs = {label: weight for label, weight in zip(groups, weights) if weight != 0.0}
+                obj = {"doc": doc_id, "scheme": scheme_name, "weights": pairs}
                 out.append(json.dumps(obj) + "\n")
     return "".join(out)
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -64,9 +65,22 @@ def _pearson_r(x: np.ndarray, y: np.ndarray) -> float:
     sxy = float(np.dot(dx, dy))
     sxx = float(np.dot(dx, dx))
     syy = float(np.dot(dy, dy))
+    product = sxx * syy
+    if not sys.float_info.min <= product < math.inf:  # underflowed or overflowed
+        dx, dy = _unit_deviations(x), _unit_deviations(y)
+        sxy = float(np.dot(dx, dy))
+        product = float(np.dot(dx, dx)) * float(np.dot(dy, dy))
     # sqrt of the product keeps r == 1.0 exact for bitwise-identical inputs
-    r = sxy / math.sqrt(sxx * syy)
+    r = sxy / math.sqrt(product)
     return max(-1.0, min(1.0, r))
+
+
+def _unit_deviations(v: np.ndarray) -> np.ndarray:
+    """Deviations from the mean of ``v`` after ``v`` is scaled exactly, by a
+    power of two, to a largest magnitude in [0.5, 1), so that neither its
+    sum nor its sums of squares leave the normal range of float64."""
+    v = np.ldexp(v, -math.frexp(np.max(np.abs(v)))[1])
+    return v - np.add.reduce(v) / v.shape[0]
 
 
 def _t_p_value(r: float, n: int) -> float:

@@ -1,7 +1,12 @@
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from rankfair.core import GroupMembershipTable, GroupScheme, Qrels, one_hot
+from rankfair.core import GroupMembershipTable, GroupScheme, Qrels, Ranking, RunSet, one_hot
 from rankfair.errors import (
     DuplicateDocument,
     DuplicateJudgment,
@@ -264,6 +269,113 @@ class TestByteOrderMark:
     def test_only_one_mark_is_dropped(self):
         assert parse_qrels("\ufeff\ufeffq1 0 d1 1\n").queries == ("\ufeffq1",)
         assert parse_qrels("\ufeff").queries == ()
+
+
+# --- writers against their per-line references ---------------------------------------
+
+
+def per_line_write_run(runset):
+    """``write_run`` as one f-string per line: the reference for its bytes."""
+    out = []
+    for system_tag in runset.systems:
+        for query_id in runset.queries(system_tag):
+            start, stop = runset.span(system_tag, query_id)
+            entries = zip(runset.doc_list(start, stop), runset.scores[start:stop].tolist())
+            lines = [
+                f"{query_id} Q0 {doc_id} {position} {score!r} {system_tag}\n"
+                for position, (doc_id, score) in enumerate(entries, start=1)
+            ]
+            out.append("".join(lines))
+    return "".join(out)
+
+
+def per_line_write_annotations(table, format="tsv"):
+    """``write_annotations`` as one line built per row: the reference for its bytes."""
+    out = []
+    for scheme_name in table.scheme_names:
+        groups = table.scheme(scheme_name).groups
+        ids, m = table.columns(scheme_name)
+        for doc_id, weights in zip(ids, m.tolist()):
+            pairs = [(label, weight) for label, weight in zip(groups, weights) if weight != 0.0]
+            if format == "tsv":
+                spec = ",".join(f"{label}:{weight!r}" for label, weight in pairs)
+                out.append(f"{doc_id}\t{scheme_name}\t{spec}\n")
+            else:
+                obj = {"doc": doc_id, "scheme": scheme_name, "weights": dict(pairs)}
+                out.append(json.dumps(obj) + "\n")
+    return "".join(out)
+
+
+NAN_PAYLOAD = float(np.array([0x7FF8_0000_0000_0ABC], dtype=np.int64).view(np.float64)[0])
+EDGE_SCORES = [0.0, -0.0, math.nan, -math.nan, NAN_PAYLOAD, math.inf, -math.inf,
+               5e-324, -2.5e-310, 1e308, -1e308, 1.0, 14.2]
+WRITER_DOCS = ["d1", "d2", "d10", "dé", "日本", "ß", "\U0001f600"]
+
+
+@st.composite
+def run_sets(draw):
+    """Rankings of up to 4 systems over some of 4 queries, each of its own
+    length (empty included), handed to RunSet in a drawn order, so that a
+    system's rankings need not be adjacent in the columns."""
+    scores = st.sampled_from(EDGE_SCORES) | st.floats()
+    rankings = []
+    for s in range(draw(st.integers(0, 4))):
+        for q in draw(st.sets(st.integers(0, 3))):
+            docs = draw(st.lists(st.sampled_from(WRITER_DOCS), unique=True))
+            entries = [(doc, draw(scores)) for doc in docs]
+            rankings.append(Ranking(f"q{q}", tuple(entries), f"sys{s}"))
+    return RunSet(draw(st.permutations(rankings)))
+
+
+SHORT_THEN_LONG = RunSet([
+    Ranking("q1", (("d1", 1.0),), "a"),
+    Ranking("q2", tuple((d, -0.0) for d in WRITER_DOCS), "a"),
+    Ranking("q1", tuple((d, math.nan) for d in WRITER_DOCS[:3]), "b"),
+])
+
+
+@settings(max_examples=300, deadline=None)
+@given(run_sets())
+@example(RunSet([]))
+@example(SHORT_THEN_LONG)
+def test_write_run_matches_per_line_reference(runset):
+    assert write_run(runset) == per_line_write_run(runset)
+
+
+WRITER_SCHEMES = [GENDER, GEO, GroupScheme("tone", ("x", "y", "z"))]
+
+
+@st.composite
+def membership_tables(draw):
+    """Rows of soft weights, each zero drawn as 0.0 or -0.0, for documents
+    of some of three schemes; a scheme may be left empty, and a matrix may
+    be handed over in Fortran order."""
+    columns = {}
+    for scheme in draw(st.lists(st.sampled_from(WRITER_SCHEMES), unique=True)):
+        ids = draw(st.lists(st.sampled_from(WRITER_DOCS), unique=True))
+        rows = []
+        for _ in ids:
+            raw = draw(st.lists(
+                st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]) | st.floats(1e-3, 1.0),
+                min_size=scheme.k, max_size=scheme.k,
+            ).filter(lambda w: sum(w) > 0))
+            rows.append([w / sum(raw) for w in raw])
+        m = np.array(rows, dtype=np.float64).reshape(len(ids), scheme.k)
+        columns[scheme.name] = (ids, np.asfortranarray(m) if draw(st.booleans()) else m)
+    return GroupMembershipTable.from_columns(WRITER_SCHEMES, columns)
+
+
+SIGNED_ZEROS = GroupMembershipTable.from_columns([GEO], {"geo": (
+    ["a", "b", "c", "d"], np.array([[0.0, 1.0], [-0.0, 1.0], [1.0, -0.0], [1.0, 0.0]])
+)})
+
+
+@settings(max_examples=200, deadline=None)
+@given(membership_tables(), st.sampled_from(["tsv", "jsonl"]))
+@example(SIGNED_ZEROS, "tsv")
+@example(SIGNED_ZEROS, "jsonl")
+def test_write_annotations_matches_per_line_reference(table, format):
+    assert write_annotations(table, format) == per_line_write_annotations(table, format)
 
 
 class TestStratifiedSample:

@@ -120,6 +120,20 @@ class TestPearson:
         with pytest.raises(ConstantInput):
             pearson([1, 2, 3], [5, 5, 5])
 
+    # the plain sums underflow or overflow here (numpy warns of the latter),
+    # and r comes from the vectors scaled to a largest magnitude near 1
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("x, y, want", [
+        ([0.0, 1e-184, 1e-184], [1, 2, 3], math.sqrt(0.75)),
+        ([0, 1e160, 2e160], [3, 2, 1], -1.0),
+        ([0, 1e160, 2e160], [0, 1e160, 3e160], pearson_r_oracle([0, 1, 2], [0, 1, 3])),
+        ([1e308, 1e308, -1e308], [1, 2, 3], -math.sqrt(0.75)),
+        ([0, 5e-324, 1e-323], [1, 2, 4], pearson_r_oracle([0, 1, 2], [1, 2, 4])),
+    ])
+    def test_extreme_scales(self, x, y, want):
+        assert pearson(x, y).coefficient == pytest.approx(want, abs=1e-15)
+        assert pearson(y, x).coefficient == pytest.approx(want, abs=1e-15)
+
     def test_p_monotone_in_r(self):
         n = 20
         ps = [pearson_p(r, n) for r in (0.1, 0.3, 0.5, 0.7, 0.9, 0.99)]

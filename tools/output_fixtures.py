@@ -17,12 +17,14 @@ runs ``cmp`` on every pair of files) and value by value:
 
 Inputs: the default testbed from ``gen-testbed --seed 0`` with an
 80%-accurate hard-label model file (5% of documents left out, the rule of
-the benchmark's compare-cli workload), criterion
-9's fixture, and a two-scheme soft fixture as JSONL and TSV. Outputs, one
-directory each under ``reports/``: ``evaluate`` with three flag sets on the
-testbed and one each on the other fixtures, ``compare`` with two flag sets
-and on criterion 9's fixture, ``sweep`` from files, from criterion 9's
-config with 1 and 4 workers and on a synthetic testbed, and ``sample``.
+the benchmark's compare-cli workload), a copy of its run file without some
+rankings (so some systems miss some queries), criterion 9's fixture, and a
+two-scheme soft fixture as JSONL and TSV. Outputs, one directory each under
+``reports/``: ``evaluate`` with three flag sets on the testbed and one each
+on the other fixtures, ``compare`` with two flag sets, with
+``--exclude-missing`` on the copy, with the copy as ``runs_b`` and on
+criterion 9's fixture, ``sweep`` from files, from criterion 9's config with
+1 and 4 workers and on a synthetic testbed, and ``sample``.
 ``--small`` uses a 5 x 100 x 3 x 30 testbed instead of the default one.
 """
 
@@ -64,6 +66,16 @@ def write_model(human: Path, out: Path, groups: list[str], seed: int) -> None:
         if kept
     ]
     out.write_text("".join(lines), encoding="utf-8")
+
+
+def drop_rankings(runs: Path, out: Path) -> None:
+    """The run file without every 97th of its (query, system) rankings,
+    counted from the 8th, so that some systems miss some queries."""
+    lines = runs.read_text(encoding="utf-8").splitlines(keepends=True)
+    keys = [(fields[0], fields[5]) for fields in map(str.split, lines)]
+    gone = set(list(dict.fromkeys(keys))[7::97])
+    kept = [line for line, key in zip(lines, keys) if key not in gone]
+    out.write_text("".join(kept), encoding="utf-8")
 
 
 def soft_rows(docs: list[str]) -> list[tuple[str, str, dict[str, float]]]:
@@ -108,8 +120,11 @@ def main(argv=None) -> int:
     scheme = json.loads((root / "testbed/scheme.json").read_text(encoding="utf-8"))
     write_json(root / "testbed/config.json", {"schemes": [scheme]})
     write_model(root / "testbed/annotations.tsv", root / "testbed/model.tsv", scheme["groups"], 0)
-    bed = ["--config", "testbed/config.json", "--runs", "testbed/runs.txt",
-           "--qrels", "testbed/qrels.txt", "--annotations", "testbed/annotations.tsv"]
+    drop_rankings(root / "testbed/runs.txt", root / "testbed/runs_missing.txt")
+    write_json(root / "testbed/config_runs_b.json",
+               {"schemes": [scheme], "runs_b": ["testbed/runs_missing.txt"]})
+    inputs = ["--qrels", "testbed/qrels.txt", "--annotations", "testbed/annotations.tsv"]
+    bed = ["--config", "testbed/config.json", "--runs", "testbed/runs.txt", *inputs]
 
     # criterion 9's fixture
     cli("gen-testbed", "--queries", "4", "--docs", "50", "--groups", "4", "--systems", "6",
@@ -165,6 +180,11 @@ def main(argv=None) -> int:
     report("compare", "compare", *bed, "--annotations-b", "testbed/model.tsv")
     report("compare-complement-cutoff50", "compare", *bed, "--annotations-b", "testbed/model.tsv",
            "--complement", "--cutoff", "50")
+    report("compare-exclude-missing", "compare", "--config", "testbed/config.json",
+           "--runs", "testbed/runs_missing.txt", *inputs, "--annotations-b", "testbed/model.tsv",
+           "--exclude-missing")
+    report("compare-runs-b", "compare", "--config", "testbed/config_runs_b.json",
+           "--runs", "testbed/runs.txt", *inputs, "--annotations-b", "testbed/model.tsv")
     report("sweep-files", "sweep", *bed, "--levels", "0.4,0.55,0.7,0.8,0.9,1.0", "--trials", "2")
     report("sample", "sample", "--config", "testbed/config.json",
            "--annotations", "testbed/annotations.tsv", "--train", "50", "--test", "10")
