@@ -122,6 +122,10 @@ class ConstantInput(RankfairError):
     """Correlation of a constant vector is undefined."""
 
 
+class NonFiniteInput(RankfairError):
+    """Correlation of scores holding NaN or an infinity is undefined."""
+
+
 class TooFewSamples(RankfairError):
     """Correlation needs at least three paired samples."""
 

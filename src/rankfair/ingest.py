@@ -14,17 +14,16 @@ import json
 import math
 import os
 import pickle
-import signal
 import stat
-import threading
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain
-from typing import IO, Iterable, Iterator, NoReturn, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import _fork
 from .core import (
     GroupMembershipTable,
     GroupScheme,
@@ -238,33 +237,19 @@ def _scan_file(source: str | bytes | IO) -> tuple | None:
     if fd is None:
         return None
     size = os.fstat(fd).st_size
-    cuts = _cuts(fd, size, min(_cpus(), size // MIN_PART))
+    cuts = _cuts(fd, size, min(_fork.cpus(), size // MIN_PART))
     if len(cuts) < 3:
         return None
-    workers: list[tuple[int, IO[bytes]]] = []
+    workers: list[_fork.Child] = []
     try:
         for start, stop in zip(cuts[1:], cuts[2:]):
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:  # out of processes: scan serially
-                pid = None
-            if pid == 0:
-                _scan_worker(fd, start, stop, write)
-            os.close(write)
-            if pid is None:
-                os.close(read)
+            worker = _fork.start(lambda write: _scan_worker(fd, start, stop, write))
+            if worker is None:
                 return None
-            workers.append((pid, open(read, "rb")))
+            workers.append(worker)
         merged = _scan_parts(fd, cuts[1], [pipe for _, pipe in workers])
     finally:
-        for pid, pipe in workers:
-            pipe.close()
-            try:
-                os.kill(pid, signal.SIGKILL)  # a worker still running is not needed
-            except ProcessLookupError:
-                pass
-            os.waitpid(pid, 0)
+        _fork.reap(workers)  # a worker still running is not needed
     if merged is not None:
         source.seek(0, os.SEEK_END)  # consumed, as by a serial scan
     return merged
@@ -277,7 +262,7 @@ def _run_file(source: str | bytes | IO) -> int | None:
     text = isinstance(source, io.TextIOWrapper)
     raw = source.buffer if text else source
     raw = getattr(raw, "raw", raw)
-    if not isinstance(raw, io.FileIO) or threading.active_count() > 1:
+    if not isinstance(raw, io.FileIO) or not _fork.may_fork():
         return None
     if text and (codecs.lookup(source.encoding).name != "utf-8" or source.errors != "strict"):
         return None
@@ -288,13 +273,6 @@ def _run_file(source: str | bytes | IO) -> int | None:
     except (OSError, ValueError):  # closed, or not seekable
         return None
     return raw.fileno()
-
-
-def _cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform: scan serially
-        return 1
 
 
 def _cuts(fd: int, size: int, parts: int) -> list[int]:
@@ -315,28 +293,23 @@ def _cuts(fd: int, size: int, parts: int) -> list[int]:
     return cuts + [size]
 
 
-def _scan_worker(fd: int, start: int, stop: int, write: int) -> NoReturn:
+def _scan_worker(fd: int, start: int, stop: int, write: int) -> None:
     """In a forked child: scan bytes ``start:stop`` and send the part down a
     pipe as a pickled header (None if the part is faulty), then its doc
     codes, key codes, ranks (pickled if beyond int64) and scores."""
-    status = 1
-    try:
-        with open(write, "wb") as out:
-            try:
-                docs, keys, blanks, columns = _scan_run(_range_chunks(fd, start, stop), False)
-            except (RankfairError, UnicodeDecodeError):
-                pickle.dump(None, out)
-            else:
-                wide = isinstance(columns[2], list)
-                pickle.dump((list(docs), list(keys), blanks, len(columns[3]), wide), out)
-                for column in columns:
-                    if isinstance(column, list):
-                        pickle.dump(column, out)
-                    else:
-                        out.write(column)
-        status = 0
-    finally:
-        os._exit(status)
+    with open(write, "wb") as out:
+        try:
+            docs, keys, blanks, columns = _scan_run(_range_chunks(fd, start, stop), False)
+        except (RankfairError, UnicodeDecodeError):
+            pickle.dump(None, out)
+        else:
+            wide = isinstance(columns[2], list)
+            pickle.dump((list(docs), list(keys), blanks, len(columns[3]), wide), out)
+            for column in columns:
+                if isinstance(column, list):
+                    pickle.dump(column, out)
+                else:
+                    out.write(column)
 
 
 def _scan_parts(fd: int, first_stop: int, pipes: list[IO[bytes]]) -> tuple | None:
@@ -372,25 +345,17 @@ def _scan_parts(fd: int, first_stop: int, pipes: list[IO[bytes]]) -> tuple | Non
                     (codes.setdefault(item, len(codes)) for item in vocabulary),
                     np.int64, len(vocabulary),
                 )
-                np.take(renumber, _read_into(pipe, raw), out=column[part])
+                np.take(renumber, _fork.read_into(pipe, raw), out=column[part])
             if part_wide:
                 ranks += pickle.load(pipe)
             elif wide:
-                ranks += _read_into(pipe, raw).tolist()
+                ranks += _fork.read_into(pipe, raw).tolist()
             else:
-                _read_into(pipe, ranks[part])
-            _read_into(pipe, scores[part])
+                _fork.read_into(pipe, ranks[part])
+            _fork.read_into(pipe, scores[part])
     except (RankfairError, UnicodeDecodeError, EOFError, pickle.UnpicklingError):
         return None
     return docs, keys, blanks, (doc_codes, key_codes, ranks, scores)
-
-
-def _read_into(pipe: IO[bytes], column: np.ndarray) -> np.ndarray:
-    """``column``, filled from ``pipe``; EOFError if the pipe ends first."""
-    view = memoryview(column).cast("B")
-    if pipe.readinto(view) != len(view):
-        raise EOFError("a worker's pipe ended early")
-    return column
 
 
 def write_run(runset: RunSet) -> str:

@@ -10,14 +10,19 @@ function of its inputs and independent of iteration order or scheduling.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
+import mmap
+import os
+import select
 from dataclasses import asdict, dataclass, fields, replace
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from . import _fork
 from .core import (
     SUM_TOL,
     GroupMembershipTable,
@@ -88,17 +93,28 @@ def confusion_for_accuracy(
     return ConfusionMatrix(scheme, rows)
 
 
-def _doc_uniforms(seed: int, doc_ids: Sequence[str]) -> np.ndarray:
-    """Uniform draws in [0, 1), one per document, from a per-document hash
-    stream: the blake2b digest of ``f"{seed}:{doc_id}"``. A draw depends on
-    neither iteration order nor the other documents."""
+def _doc_digests(seed: int, doc_ids: Sequence[str]) -> bytearray:
+    """The 8-byte blake2b digest of ``f"{seed}:{doc_id}"`` of each document,
+    concatenated: the stream that :func:`_doc_uniforms` reads."""
     prefix = hashlib.blake2b(f"{seed}:".encode("utf-8"), digest_size=8)
     digests = bytearray()
     for doc_id in doc_ids:
         h = prefix.copy()
         h.update(doc_id.encode("utf-8"))
         digests += h.digest()
-    return np.frombuffer(bytes(digests), dtype="<u8") / 2.0**64
+    return digests
+
+
+def _uniforms(digests: bytes | bytearray) -> np.ndarray:
+    """Digests read as little-endian 64-bit integers, scaled to [0, 1)."""
+    return np.frombuffer(digests, dtype="<u8") / 2.0**64
+
+
+def _doc_uniforms(seed: int, doc_ids: Sequence[str]) -> np.ndarray:
+    """Uniform draws in [0, 1), one per document, from a per-document hash
+    stream: the blake2b digest of ``f"{seed}:{doc_id}"``. A draw depends on
+    neither iteration order nor the other documents."""
+    return _uniforms(_doc_digests(seed, doc_ids))
 
 
 def _corrupted_rows(
@@ -106,15 +122,19 @@ def _corrupted_rows(
 ) -> np.ndarray:
     """Membership rows of ``doc_ids`` (rows of ``stored``) after corruption
     through ``matrix``; see :func:`apply_confusion`."""
-    m = matrix.as_array()
     if mode == "soft":
-        return stored @ m
+        return stored @ matrix.as_array()
+    return _relabeled(stored, _doc_uniforms(seed, doc_ids), matrix)
+
+
+def _relabeled(stored: np.ndarray, draws: np.ndarray, matrix: ConfusionMatrix) -> np.ndarray:
+    """One-hot rows: each row's argmax group relabeled through ``matrix`` by
+    the row's draw."""
     k = matrix.scheme.k
     truth = np.argmax(stored, axis=1)  # ties resolve to the lowest index
-    draws = _doc_uniforms(seed, doc_ids)
     # each cumulative row is non-decreasing, so counting the entries at or
     # below a draw is searchsorted(side="right") on that row
-    cum = np.cumsum(m, axis=1)
+    cum = np.cumsum(matrix.as_array(), axis=1)
     labels = np.count_nonzero(cum[truth] <= draws[:, None], axis=1)
     return np.eye(k)[np.minimum(labels, k - 1)]
 
@@ -290,6 +310,115 @@ def _trial_seed(seed: int, level_index: int, trial: int) -> int:
     return int.from_bytes(digest, "little")
 
 
+#: Draws in a sweep (cells times documents), at least, for a forked
+#: producer to hash them ahead; a smaller sweep hashes its own draws. Near
+#: this size, forking and hashing here take about as long on two CPUs.
+MIN_DRAWS = 1 << 15
+
+#: Cells a forked producer may hash ahead of the cells read from it: the
+#: slots of its ring, each holding one cell's digests.
+RING_SLOTS = 4
+
+
+def _produce(ring: mmap.mmap, doc_ids: Sequence[str], seeds: Sequence[int], full: int,
+             free: int) -> None:
+    """In the forked producer: write each cell's digests into slot ``cell %
+    slots`` of ``ring``, then the cell's number down ``full``; a slot is
+    written again only after a byte has come up ``free``."""
+    size = 8 * len(doc_ids)
+    slots = len(ring) // size
+    for cell, seed in enumerate(seeds):
+        if cell >= slots and not os.read(free, 1):
+            return  # the sweep has gone
+        ring[cell % slots * size : (cell % slots + 1) * size] = _doc_digests(seed, doc_ids)
+        os.write(full, cell.to_bytes(8, "little"))
+
+
+class _CellDraws:
+    """Each sweep cell's draws, ``_doc_uniforms(seed, doc_ids)`` for each
+    of ``seeds``, as ``(cell, draws)`` pairs, with a forked producer hashing
+    from the first cell on when :func:`accuracy_sweep` says so. Leaving the
+    ``with`` block kills and reaps the producer."""
+
+    def __init__(self, doc_ids: Sequence[str], seeds: Sequence[int]):
+        self.doc_ids, self.seeds = doc_ids, seeds
+        self.size = 8 * len(doc_ids)
+        self.producer: _fork.Child | None = None
+        self.cleanup = contextlib.ExitStack()
+
+    def __enter__(self) -> Iterator[tuple[int, np.ndarray]]:
+        draws = len(self.seeds) * len(self.doc_ids)
+        if draws >= MIN_DRAWS and _fork.cpus() > 1 and _fork.may_fork():
+            try:
+                self._start()
+            except OSError:  # no memory for the ring or no descriptor left: work serially
+                self._stop()
+        return self._cells()
+
+    def _start(self) -> None:
+        """Map the ring and fork the producer; OSError if the ring or a pipe
+        cannot be made."""
+        self.slots = min(RING_SLOTS, len(self.seeds))
+        self.ring = self.cleanup.enter_context(mmap.mmap(-1, self.slots * self.size))
+        taken, self.free = os.pipe()
+        self.cleanup.callback(os.close, self.free)
+
+        def produce(full: int) -> None:
+            os.close(self.free)  # so that the producer sees the sweep end
+            _produce(self.ring, self.doc_ids, self.seeds, full, taken)
+
+        try:
+            self.producer = _fork.start(produce)
+        finally:
+            os.close(taken)
+        if self.producer is not None:
+            self.cleanup.callback(_fork.reap, [self.producer])
+
+    def __exit__(self, *exc) -> None:
+        self._stop()
+
+    def _stop(self) -> None:
+        self.producer = None
+        self.cleanup.close()
+
+    def _cells(self) -> Iterator[tuple[int, np.ndarray]]:
+        """Every cell once. From the front, the cells come in order; while
+        the producer is still hashing the front cell, this process hashes
+        the back cell, so that neither waits for the other until they meet."""
+        front, back = 0, len(self.seeds)
+        while front < back:
+            if self.producer is not None and front + 1 < back and not self._delivered():
+                back -= 1
+                yield back, _doc_uniforms(self.seeds[back], self.doc_ids)
+            else:
+                yield front, self._draws(front, back)
+                front += 1
+        self._stop()  # the producer would only hash the cells taken from the back
+
+    def _delivered(self) -> bool:
+        """Whether the producer has reported a cell (or ended) since the
+        last cell read from it."""
+        return bool(select.select([self.producer.pipe], [], [], 0)[0])
+
+    def _draws(self, cell: int, back: int) -> np.ndarray:
+        """The draws of ``cell``, the front cell, from the producer if it
+        delivers them; the producer's cells before ``back`` are still to be
+        read."""
+        if self.producer is not None:
+            at = cell % self.slots * self.size
+            # the pipe's tokens are read unbuffered, so that _delivered sees them
+            if os.read(self.producer.pipe.fileno(), 8) == cell.to_bytes(8, "little"):
+                draws = _uniforms(self.ring[at : at + self.size])
+                if cell + self.slots < back:
+                    # the producer may fill the slot again; a dead one has
+                    # left only whole slots behind, which later reads take
+                    with contextlib.suppress(BrokenPipeError):
+                        os.write(self.free, b"\0")
+                return draws
+            self._stop()  # the producer has died: the cells left are hashed here
+        return _doc_uniforms(self.seeds[cell], self.doc_ids)
+
+
 def accuracy_sweep(
     testbed: Testbed,
     levels: Sequence[float],
@@ -309,8 +438,24 @@ def accuracy_sweep(
     :func:`~rankfair.stats.agreement` of the degraded and true scores; a
     cell with constant system means raises ``ConstantInput``. The run set
     is compiled once; every cell then scores only a new membership matrix.
-    Cells run serially: ``workers`` is accepted for compatibility and must
-    be at least 1.
+    Cells are scored in this process: ``workers`` is accepted for
+    compatibility, must be at least 1, and changes nothing.
+
+    A sweep of at least ``MIN_DRAWS`` draws (cells times documents) forks
+    one producer before the compile, if this process may run on two or
+    more CPUs and runs no other Python thread. The producer hashes each
+    cell's draw stream, in cell order, into a shared ring of ``RING_SLOTS``
+    slots of ``8 * n_docs`` bytes each (1.6 MB for 50,000 documents), so it
+    runs at most that many cells ahead of the cells read from it; this
+    process reads a slot only after the producer has reported it full.
+    While the producer is still on the next cell, this process hashes and
+    scores a cell from the back of the sweep itself, and the producer is
+    killed once the two meet. From the first cell the producer fails to
+    deliver, this process hashes every draw left. Each draw comes from the
+    same function whichever process hashed it, and a failing cell raises
+    as it would in cell order, so the output does not depend on which path
+    ran. The producer is killed and reaped before the sweep returns or
+    raises.
     """
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
@@ -325,18 +470,12 @@ def accuracy_sweep(
     # one matrix per level, built (and so validated) before any work
     matrices = [confusion_for_accuracy(scheme, a, style) for a in level_list]
     config = metric_config or MetricConfig()
-
-    evaluation = CompiledEvaluation(runset, qrels, table, scheme, config)
-    if not evaluation.queries:
-        raise ConfigError("the sweep has no evaluation queries")
     ids, stored = table.columns(scheme_name)
-    truth = ScoreTable(evaluation.systems, evaluation.queries, (f"awrf:{scheme_name}",),
-                       evaluation.scores(stored)[None], evaluation.runs.lengths == 0)
+    cells = [(li, ti) for li in range(len(level_list)) for ti in range(trials)]
 
-    def run_cell(level_index: int, trial: int) -> SweepTrial:
+    def run_cell(level_index: int, trial: int, draws: np.ndarray) -> SweepTrial:
         accuracy = level_list[level_index]
-        seed_cell = _trial_seed(seed, level_index, trial)
-        rows = _corrupted_rows(stored, ids, matrices[level_index], seed_cell, "hard")
+        rows = _relabeled(stored, draws, matrices[level_index])
         degraded = replace(truth, values=evaluation.scores(rows)[None])
         report = agreement(degraded, truth, alpha)
         if not report.system_rows():
@@ -362,7 +501,24 @@ def accuracy_sweep(
             query_skipped=len(report.skipped),
         )
 
-    results = [run_cell(li, ti) for li in range(len(level_list)) for ti in range(trials)]
+    # the producer, if any, hashes the first cells while the run set compiles
+    with _CellDraws(ids, [_trial_seed(seed, li, ti) for li, ti in cells]) as draws:
+        evaluation = CompiledEvaluation(runset, qrels, table, scheme, config)
+        if not evaluation.queries:
+            raise ConfigError("the sweep has no evaluation queries")
+        truth = ScoreTable(evaluation.systems, evaluation.queries, (f"awrf:{scheme_name}",),
+                           evaluation.scores(stored)[None], evaluation.runs.lengths == 0)
+        results: list = [None] * len(cells)
+        deferred = None  # the failure of the lowest cell taken from the back
+        for cell, cell_draws in draws:
+            try:
+                results[cell] = run_cell(*cells[cell], cell_draws)
+            except ConstantInput as error:
+                if None not in results[:cell]:
+                    raise  # no cell before it is left: the first failure in cell order
+                deferred = error  # cells from the back come last first
+    if deferred is not None:
+        raise deferred
 
     summary = []
     for li, accuracy in enumerate(level_list):

@@ -16,6 +16,7 @@ from .errors import (
     ConfigError,
     ConstantInput,
     LengthMismatch,
+    NonFiniteInput,
     QuerySetMismatch,
     SystemSetMismatch,
     TooFewSamples,
@@ -50,6 +51,10 @@ def _validated_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
         raise LengthMismatch(f"length {x.shape[0]} vs {y.shape[0]}")
     if x.shape[0] < 3:
         raise TooFewSamples(f"need at least 3 samples, got {x.shape[0]}")
+    for side, v in (("first", x), ("second", y)):
+        bad = np.flatnonzero(~np.isfinite(v))
+        if bad.size:
+            raise NonFiniteInput(f"{side} input holds {float(v[bad[0]])} at index {bad[0]}")
     if np.all(x == x[0]):
         raise ConstantInput("first input is constant")
     if np.all(y == y[0]):
@@ -59,12 +64,14 @@ def _validated_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
 
 def _pearson_r(x: np.ndarray, y: np.ndarray) -> float:
     # np.mean of a float64 vector is np.add.reduce over it divided by its
-    # length; the same two steps give the same bits without mean's overhead
-    dx = x - np.add.reduce(x) / x.shape[0]
-    dy = y - np.add.reduce(y) / y.shape[0]
-    sxy = float(np.dot(dx, dy))
-    sxx = float(np.dot(dx, dx))
-    syy = float(np.dot(dy, dy))
+    # length; the same two steps give the same bits without mean's overhead.
+    # An overflow here is caught below, so numpy need not warn of it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        dx = x - np.add.reduce(x) / x.shape[0]
+        dy = y - np.add.reduce(y) / y.shape[0]
+        sxy = float(np.dot(dx, dy))
+        sxx = float(np.dot(dx, dx))
+        syy = float(np.dot(dy, dy))
     product = sxx * syy
     if not sys.float_info.min <= product < math.inf:  # underflowed or overflowed
         dx, dy = _unit_deviations(x), _unit_deviations(y)
@@ -194,7 +201,8 @@ def agreement(
 
     Per metric, the system row pairs the per-system means, and each query
     row the systems' scores on that query; the system rows of every metric
-    come first. A pair with a constant side is listed in ``skipped``.
+    come first. A pair with a constant side is listed in ``skipped``; a
+    table holding NaN or an infinity raises ``NonFiniteInput``.
     ``exclude_missing`` drops the queries any system is absent from in
     either table. Tables without queries give no rows.
     """
@@ -207,6 +215,12 @@ def agreement(
     n = len(a.systems)
     if n < 3:
         raise TooFewSamples(f"need at least 3 systems, got {n}")
+    for side, t in (("first", a), ("second", b)):
+        bad = np.argwhere(~np.isfinite(t.values))
+        if bad.size:
+            m, s, q = bad[0]
+            raise NonFiniteInput(f"('query:{t.queries[q]}', {t.metrics[m]!r}): the {side} table "
+                                 f"holds {float(t.values[m, s, q])} for system {t.systems[s]!r}")
     if not a.queries:
         return CorrelationReport(alpha, ())
     keep = ~(a.absent | b.absent).any(axis=0) if exclude_missing else np.ones(len(a.queries), bool)

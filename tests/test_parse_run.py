@@ -10,6 +10,7 @@ the same columns, bit for bit, and the same errors as a one-part parse.
 """
 
 import contextlib
+import errno
 import gzip
 import io
 import os
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankfair import ingest
+from rankfair import _fork, ingest
 from rankfair.core import Ranking, RunSet
 from rankfair.errors import (
     DuplicateDocument,
@@ -306,7 +307,7 @@ def cpus(parts):
     worth cutting; yields a spy on ``os.fork``."""
     with (
         mock.patch.object(ingest, "MIN_PART", 1),
-        mock.patch.object(ingest, "_cpus", lambda: parts),
+        mock.patch.object(_fork, "cpus", lambda: parts),
         mock.patch.object(os, "fork", wraps=os.fork) as fork,
     ):
         yield fork
@@ -413,9 +414,10 @@ class TestParallelScan:
         "failure",
         [
             (os, "fork", mock.Mock(side_effect=BlockingIOError(11, "refused"))),
+            (os, "pipe", mock.Mock(side_effect=OSError(errno.EMFILE, "no descriptor"))),
             (ingest, "_scan_worker", lambda *args: os._exit(1)),  # dies without a word
         ],
-        ids=["refused fork", "dead worker"],
+        ids=["refused fork", "no pipe", "dead worker"],
     )
     def test_failed_worker_scans_serially(self, run_path, failure):
         run_path.write_text("".join(fixed_lines(40)), encoding="utf-8")

@@ -1,4 +1,12 @@
+import contextlib
+import errno
+import itertools
 import math
+import mmap
+import os
+import signal
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +22,7 @@ from rankfair.core import (
 from rankfair.errors import AccuracyOutOfRange, ConfigError, ConstantInput
 from rankfair.metrics import MetricConfig, evaluate_runset
 from rankfair.stats import pearson, spearman
-from rankfair import simulate
+from rankfair import _fork, simulate
 from rankfair.simulate import (
     ConfusionMatrix,
     accuracy_sweep,
@@ -296,6 +304,208 @@ class TestAccuracySweep:
         assert len(summary_lines) == 1 + 4
         ones = [l for l in trial_lines[1:] if l.startswith("1.0,")]
         assert all(l.split(",")[2] == "1.0" for l in ones)
+
+
+@contextlib.contextmanager
+def forking(min_draws=1):
+    """As on a machine with two CPUs, where a sweep of ``min_draws`` draws
+    is worth a producer; yields the pids of the children forked, which must
+    all be reaped once the sweep has returned or raised."""
+    pids = []
+    fork = os.fork
+
+    def spy():
+        pid = fork()
+        pids.append(pid)
+        return pid
+
+    with (
+        mock.patch.object(simulate, "MIN_DRAWS", min_draws),
+        mock.patch.object(_fork, "cpus", lambda: 2),
+        mock.patch.object(os, "fork", spy),
+    ):
+        yield pids
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def delivered(ready):
+    """The producer's front cell seen as always (True) or never (False)
+    delivered yet: the sweep reads every cell from the producer, or takes
+    every cell it can from the back."""
+    return mock.patch.object(simulate._CellDraws, "_delivered", lambda self: ready)
+
+
+class TestDrawProducer:
+    """A sweep whose draws a forked producer hashes ahead equals the sweep
+    that hashes its own, however the producer fares."""
+
+    LEVELS = [0.4, 0.55, 0.7, 0.9, 1.0]
+    CELLS = 2 * len(LEVELS)
+
+    def sweep(self, bed):
+        return sweep_to_json(accuracy_sweep(bed, self.LEVELS, trials=2, seed=9))
+
+    def serial(self, bed):
+        with mock.patch.object(_fork, "cpus", lambda: 1):
+            return self.sweep(bed)
+
+    def test_ring_wraps(self):
+        bed = generate_testbed(SMALL)
+        assert self.CELLS > simulate.RING_SLOTS
+        with (
+            forking() as pids,
+            delivered(True),
+            mock.patch.object(simulate, "_doc_uniforms") as hashed_here,
+        ):
+            got = self.sweep(bed)
+        assert len(pids) == 1 and not hashed_here.called
+        assert got == self.serial(bed)
+
+    def test_cells_from_the_back(self):
+        bed = generate_testbed(SMALL)
+        with (
+            forking() as pids,
+            delivered(False),
+            mock.patch.object(simulate, "_doc_uniforms", wraps=simulate._doc_uniforms) as here,
+        ):
+            got = self.sweep(bed)
+        assert len(pids) == 1
+        assert [c.args[0] for c in here.call_args_list] == [
+            simulate._trial_seed(9, cell // 2, cell % 2) for cell in range(self.CELLS - 1, 0, -1)
+        ]  # every cell but the first, last first
+        assert got == self.serial(bed)
+
+    def test_as_it_comes(self):
+        bed = generate_testbed(SMALL)
+        with forking() as pids:
+            got = self.sweep(bed)
+        assert len(pids) == 1 and got == self.serial(bed)
+
+    def test_small_sweep_stays_serial(self):
+        bed = generate_testbed(SMALL)
+        assert self.CELLS * len(bed.table.columns("group")[0]) < simulate.MIN_DRAWS
+        with forking(simulate.MIN_DRAWS) as pids:
+            got = self.sweep(bed)
+        assert not pids and got == self.serial(bed)
+
+    def test_refused_fork(self):
+        bed = generate_testbed(SMALL)
+        refused = mock.Mock(side_effect=BlockingIOError(11, "refused"))
+        with forking(), mock.patch.object(os, "fork", refused):
+            got = self.sweep(bed)
+        assert refused.call_count == 1
+        assert got == self.serial(bed)
+
+    @pytest.mark.parametrize("call, error", [
+        ("mmap", OSError(errno.ENOMEM, "no memory for the ring")),
+        ("pipe", OSError(errno.EMFILE, "no descriptor for a pipe")),
+    ])
+    def test_no_ring_or_pipe(self, call, error):
+        bed = generate_testbed(SMALL)
+        module = mmap if call == "mmap" else os
+        with forking() as pids, mock.patch.object(module, call, side_effect=error) as failing:
+            got = self.sweep(bed)
+        assert failing.call_count == 1
+        assert not pids and got == self.serial(bed)
+
+    @pytest.mark.parametrize("k", [0, 3, 6])
+    def test_producer_killed_after_k_cells(self, k):
+        bed = generate_testbed(SMALL)
+        sweep_pid, hashed = os.getpid(), itertools.count()
+        digests = simulate._doc_digests
+
+        def dying(seed, doc_ids):
+            if os.getpid() != sweep_pid and next(hashed) == k:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return digests(seed, doc_ids)
+
+        with (
+            forking() as pids,
+            delivered(True),
+            mock.patch.object(simulate, "_doc_digests", dying),
+            mock.patch.object(simulate, "_doc_uniforms", wraps=simulate._doc_uniforms) as here,
+        ):
+            got = self.sweep(bed)
+        assert len(pids) == 1
+        assert here.call_count == self.CELLS - k  # every cell from the k-th on
+        assert got == self.serial(bed)
+
+    def test_no_fork_while_another_thread_runs(self):
+        bed = generate_testbed(SMALL)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(60,))
+        thread.start()
+        try:
+            with forking() as pids:
+                got = self.sweep(bed)
+        finally:
+            release.set()
+            thread.join(60)
+        assert not thread.is_alive()
+        assert not pids and got == self.serial(bed)
+
+    @pytest.mark.parametrize("ready", [True, False])
+    def test_constant_input_names_the_first_such_cell_and_leaves_no_child(self, ready):
+        """Cells at 0.55 and 0.9 raise; the error is the first such cell's
+        in cell order, even when cells are taken from the back."""
+        bed = generate_testbed(SMALL)
+        relabeled, real_agreement = simulate._relabeled, simulate.agreement
+        cell = {}
+
+        def remember(stored, draws, matrix):
+            cell.update(accuracy=matrix.rows[0][0], draw=draws[0])
+            return relabeled(stored, draws, matrix)
+
+        def constant_at_some_levels(*args):
+            if cell["accuracy"] in (0.55, 0.9):
+                raise ConstantInput(f"constant at {cell['accuracy']}, draw {cell['draw']!r}")
+            return real_agreement(*args)
+
+        patches = (
+            mock.patch.object(simulate, "_relabeled", remember),
+            mock.patch.object(simulate, "agreement", constant_at_some_levels),
+        )
+        with patches[0], patches[1], pytest.raises(ConstantInput) as serial:
+            self.serial(bed)
+        assert "constant at 0.55" in str(serial.value)
+        with forking() as pids, delivered(ready), patches[0], patches[1]:
+            with pytest.raises(ConstantInput) as forked:
+                self.sweep(bed)
+        assert len(pids) == 1
+        assert str(forked.value) == str(serial.value)
+
+
+def test_hard_trials_average_to_the_soft_exposure():
+    """With one-hot truth, a ranking's expected raw exposure under hard
+    corruption through C is its true exposure times C: the ``soft`` result.
+    The mean of N hard trials must lie within Z standard errors of it for
+    every ranking, group and matrix, the standard error following from
+    independent per-document draws. Under the normal approximation each of
+    the M comparisons fails by chance with probability 2 * Phi(-Z) = 3.8e-8,
+    so a correct draw stream fails this test with probability at most
+    M * 3.8e-8 < 2e-5 (M = 384). Draws scaled by 0.9 fail it."""
+    n_trials, z = 200, 5.5
+    bed = generate_testbed(SMALL)
+    index, truth = bed.table.matrix("group")
+    positions = np.array([[index[d] for d in r.doc_ids] for r in bed.runset.rankings()])
+    weights = 0.1 * 0.9 ** np.arange(positions.shape[1])  # geometric, patience 0.1
+
+    def raw(table):  # (rankings, groups)
+        return np.einsum("p,rpk->rk", weights, table.matrix("group")[1][positions])
+
+    scheme = bed.table.scheme("group")
+    matrices = [confusion_for_accuracy(scheme, 0.55), confusion_for_accuracy(scheme, 0.7, "biased")]
+    compared = 0
+    for cm in matrices:
+        soft = raw(apply_confusion(bed.table, cm, mode="soft"))
+        hard = sum(raw(apply_confusion(bed.table, cm, seed=t)) for t in range(n_trials)) / n_trials
+        p = truth[positions] @ cm.as_array()  # each position's label probabilities
+        se = np.sqrt(np.einsum("p,rpk->rk", weights**2, p * (1 - p)) / n_trials)
+        np.testing.assert_array_less(np.abs(hard - soft), z * se + 1e-12)
+        compared += soft.size
+    assert compared == 384
 
 
 class TestAnnotationCost:

@@ -13,6 +13,7 @@ from rankfair.errors import (
     ConfigError,
     ConstantInput,
     LengthMismatch,
+    NonFiniteInput,
     QuerySetMismatch,
     SystemSetMismatch,
     TooFewSamples,
@@ -120,9 +121,19 @@ class TestPearson:
         with pytest.raises(ConstantInput):
             pearson([1, 2, 3], [5, 5, 5])
 
-    # the plain sums underflow or overflow here (numpy warns of the latter),
-    # and r comes from the vectors scaled to a largest magnitude near 1
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_names_the_side_and_index(self, bad):
+        # a NaN r used to be clamped to 1.0, reported with p = 0
+        with pytest.raises(NonFiniteInput, match=f"first input holds {bad} at index 0"):
+            pearson([bad, 1, 2], [1, 2, 3])
+        with pytest.raises(NonFiniteInput, match=f"second input holds {bad} at index 2"):
+            pearson([1, 2, 3], [1, 2, bad])
+        with pytest.raises(NonFiniteInput, match=f"first input holds {bad} at index 1"):
+            spearman([1, bad, 2], [1, 2, 3])
+
+    # the plain sums underflow or overflow here, and r comes from the vectors
+    # scaled to a largest magnitude near 1; numpy must not warn of either
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("x, y, want", [
         ([0.0, 1e-184, 1e-184], [1, 2, 3], math.sqrt(0.75)),
         ([0, 1e160, 2e160], [3, 2, 1], -1.0),
@@ -556,6 +567,17 @@ class TestAgreement:
             agreement(a, self.table(np.arange(9.0)))
         with pytest.raises(ConfigError):
             agreement(a, self.table(np.arange(6.0), metrics=("awrf:h",)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_score_names_the_pair_and_side(self, bad):
+        values = np.array([[0.1, 0.5, 0.2], [0.2, 0.4, 0.3], [0.3, 0.2, 0.5]])
+        good = self.table(values)
+        values[2, 1] = bad
+        pair = f"\\('query:q1', 'awrf:g'\\)"
+        with pytest.raises(NonFiniteInput, match=f"{pair}: the first table holds {bad} for system 's2'"):
+            agreement(self.table(values), good)
+        with pytest.raises(NonFiniteInput, match=f"{pair}: the second table holds {bad}"):
+            agreement(good, self.table(values), exclude_missing=True)
 
     def test_no_queries_no_rows(self):
         empty = self.table(np.zeros((1, 3, 0)))
