@@ -15,7 +15,6 @@ from .core import (
     Ranking,
     RankingSequence,
     RunSet,
-    intersect_schemes,
     intersect_tables,
     membership_of,
     normalize,
@@ -34,7 +33,6 @@ from .exposure import (
     target_uniform,
 )
 from .ingest import (
-    AnnotationRecord,
     SamplePlan,
     parse_annotations,
     parse_qrels,
@@ -66,12 +64,11 @@ from .simulate import (
     confusion_for_accuracy,
     generate_testbed,
 )
-from .stats import CorrelationResult, agreement, correlation_report, pearson, spearman
+from .stats import CorrelationResult, agreement, pearson, spearman
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnnotationRecord",
     "AttentionModel",
     "ConfusionMatrix",
     "CorrelationResult",
@@ -99,13 +96,11 @@ __all__ = [
     "attention_weights",
     "awrf",
     "confusion_for_accuracy",
-    "correlation_report",
     "cumulative_exposure",
     "ee_metrics",
     "evaluate_runset",
     "expected_group_exposure",
     "generate_testbed",
-    "intersect_schemes",
     "intersect_tables",
     "js_divergence",
     "kl_divergence",

@@ -545,7 +545,11 @@ def sweep(**_):
     """
     cfg = _effective_config()
     scheme_name = None
-    if cfg.runs and cfg.annotations:
+    if bool(cfg.runs) != bool(cfg.annotations):
+        given, missing = ("runs", "annotations") if cfg.runs else ("annotations", "runs")
+        raise ConfigError(f"sweep got {given} but no {missing} file; pass --{missing} (config key "
+                          f"'{missing}'), or neither to sweep the synthetic testbed")
+    if cfg.runs:
         runset = _load_runset(cfg)
         table = _load_table(cfg, cfg.annotations, "human")
         qrels = _load_qrels_if_needed(cfg)
@@ -596,7 +600,7 @@ def sample(train_n, test_n, **_):
     """Draw disjoint train/test document samples, equally sized per group."""
     cfg = _effective_config()
     names = _eval_scheme_names(cfg)
-    if len(names) != 1 and not cfg.eval_schemes:
+    if len(names) != 1:
         raise ConfigError("pass --scheme to pick the sampling scheme")
     with _config_errors("--train or --test"):
         plan = SamplePlan(names[0], train_n, test_n, seed=cfg.seed)

@@ -305,17 +305,6 @@ def product_scheme(s1: GroupScheme, s2: GroupScheme, name: str | None = None) ->
     return GroupScheme(name or f"{s1.name}x{s2.name}", labels, unknown)
 
 
-def intersect_schemes(v1: MembershipVector, v2: MembershipVector) -> MembershipVector:
-    """Joint membership over the product scheme, assuming independence.
-
-    Entry (i, j) of the result is ``v1[i] * v2[j]``; marginalizing the
-    output over either scheme recovers the other input.
-    """
-    scheme = product_scheme(v1.scheme, v2.scheme)
-    weights = tuple(a * b for a in v1.weights for b in v2.weights)
-    return normalize(weights, scheme)
-
-
 def intersect_tables(
     table: GroupMembershipTable,
     scheme_names: Sequence[str],
@@ -326,7 +315,9 @@ def intersect_tables(
 
     Covers the union of the schemes' document sets; a document missing from
     one side is resolved with ``fallback`` before intersecting. Each row is
-    the fold of :func:`intersect_schemes` over the document's rows.
+    the product of the document's rows, assuming independence: for two
+    schemes, entry ``i * k2 + j`` is ``w1[i] * w2[j]``, in the group order of
+    :func:`product_scheme`.
     """
     if len(scheme_names) < 2:
         raise ValueError("intersection needs at least two schemes")

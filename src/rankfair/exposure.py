@@ -337,19 +337,16 @@ def target_from_qrels(
     scheme: GroupScheme | str,
     mode: str = "binary",
     fallback: MissingPolicy = MissingPolicy.REJECT,
-    corpus_wide: bool = False,
 ) -> ExposureVector:
     """Target exposure as the mean membership of relevant documents.
 
     ``binary`` weighs every relevant document equally; ``graded`` weighs by
-    relevance grade. With ``corpus_wide`` the mean pools every judged query's
-    relevant documents instead of only ``query_id``'s.
+    relevance grade.
     """
     if mode not in ("binary", "graded"):
         raise ValueError(f"unknown target mode {mode!r}")
     scheme = table.scheme(scheme) if isinstance(scheme, str) else scheme
-    queries = qrels.queries if corpus_wide else (query_id,)
-    pairs = [pair for qid in queries for pair in sorted(qrels.relevant(qid).items())]
+    pairs = sorted(qrels.relevant(query_id).items())
     if not pairs:
         raise NoRelevantDocuments(f"no relevant documents for query {query_id!r}")
     index, matrix = table.matrix(scheme.name)

@@ -429,27 +429,18 @@ def write_qrels(qrels: Qrels) -> str:
 # --- annotation tables ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AnnotationRecord:
-    """One parsed annotation row: a document's weights for one scheme."""
-
-    doc_id: str
-    scheme: str
-    weights: tuple[tuple[str, float], ...]  # (label, raw weight), labels unique
-
-
 def _record_to_vector(
-    record: AnnotationRecord, schemes: dict[str, GroupScheme], line: int
+    doc_id: str, scheme_name: str, pairs: Sequence[tuple[str, float]],
+    schemes: dict[str, GroupScheme], line: int,
 ) -> MembershipVector:
-    if record.scheme not in schemes:
-        raise UnknownScheme(f"scheme {record.scheme!r} not declared", line=line)
-    scheme = schemes[record.scheme]
+    """A document's (label, raw weight) pairs for one scheme, normalized."""
+    if scheme_name not in schemes:
+        raise UnknownScheme(f"scheme {scheme_name!r} not declared", line=line)
+    scheme = schemes[scheme_name]
     raw = [0.0] * scheme.k
-    for label, weight in record.weights:
+    for label, weight in pairs:
         if label not in scheme.groups:
-            raise UnknownLabel(
-                f"label {label!r} not in scheme {record.scheme!r}", line=line
-            )
+            raise UnknownLabel(f"label {label!r} not in scheme {scheme_name!r}", line=line)
         if not math.isfinite(weight):
             raise MalformedLine(f"weight {weight!r} for label {label!r} is not finite", line=line)
         if weight < 0:
@@ -458,12 +449,12 @@ def _record_to_vector(
     try:
         return normalize(raw, scheme)
     except ZeroMass:
-        raise ZeroMass(f"all-zero weights for doc {record.doc_id!r}", line=line) from None
+        raise ZeroMass(f"all-zero weights for doc {doc_id!r}", line=line) from None
     except ValueError as exc:
-        raise MalformedLine(f"{exc} for doc {record.doc_id!r}", line=line) from None
+        raise MalformedLine(f"{exc} for doc {doc_id!r}", line=line) from None
 
 
-def _parse_weight_spec(weight_spec: str, number: int) -> tuple[tuple[str, float], ...]:
+def _parse_weight_spec(weight_spec: str, number: int) -> list[tuple[str, float]]:
     weights = []
     for part in weight_spec.split(","):
         label, sep, weight_s = part.rpartition(":")
@@ -474,10 +465,10 @@ def _parse_weight_spec(weight_spec: str, number: int) -> tuple[tuple[str, float]
         except ValueError:
             raise MalformedLine(f"weight {weight_s!r} is not a number", line=number) from None
         weights.append((label, weight))
-    return tuple(weights)
+    return weights
 
 
-def _parse_jsonl_record(line: str, number: int) -> AnnotationRecord:
+def _parse_jsonl_record(line: str, number: int) -> tuple[str, str, list[tuple[str, float]]]:
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -492,7 +483,7 @@ def _parse_jsonl_record(line: str, number: int) -> AnnotationRecord:
         if not isinstance(weight, (int, float)) or isinstance(weight, bool):
             raise MalformedLine(f"weight for label {label!r} is not a number", line=number)
         pairs.append((str(label), float(weight)))
-    return AnnotationRecord(str(obj["doc"]), str(obj["scheme"]), tuple(pairs))
+    return str(obj["doc"]), str(obj["scheme"]), pairs
 
 
 def parse_annotations(
@@ -527,13 +518,12 @@ def parse_annotations(
             doc_id, scheme, weight_spec = fields
             weights = seen.get((scheme, weight_spec))
             if weights is None:
-                record = AnnotationRecord(doc_id, scheme, _parse_weight_spec(weight_spec, number))
-                vector = _record_to_vector(record, by_name, number)
+                pairs = _parse_weight_spec(weight_spec, number)
+                vector = _record_to_vector(doc_id, scheme, pairs, by_name, number)
                 weights = seen[scheme, weight_spec] = vector.weights
         else:
-            record = _parse_jsonl_record(line, number)
-            doc_id, scheme = record.doc_id, record.scheme
-            weights = _record_to_vector(record, by_name, number).weights
+            doc_id, scheme, pairs = _parse_jsonl_record(line, number)
+            weights = _record_to_vector(doc_id, scheme, pairs, by_name, number).weights
         per_scheme = rows[scheme]
         if doc_id in per_scheme:
             raise DuplicateDocument(

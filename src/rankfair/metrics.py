@@ -21,7 +21,7 @@ from .core import (
     RunSet,
     intersect_tables,
 )
-from .errors import ConfigError, LengthMismatch, MissingDocument, NotADistribution
+from .errors import ConfigError, LengthMismatch, MissingDocument, NonFiniteInput, NotADistribution
 from .exposure import (
     DEFAULT_ATTENTION,
     AttentionModel,
@@ -280,9 +280,19 @@ class ScoreTable:
 
     def means(self) -> np.ndarray:
         """Per-system means, shape (metrics, systems): ``math.fsum`` over the
-        queries divided by their count. A table without queries has none."""
+        queries divided by their count. A table without queries has none; a
+        sum beyond the float64 range raises ``NonFiniteInput``."""
         q = len(self.queries)
-        means = [[math.fsum(row) / q for row in m] for m in self.values.tolist()] if q else []
+
+        def mean(metric: str, system: str, row: list[float]) -> float:
+            try:
+                return math.fsum(row) / q
+            except OverflowError:
+                raise NonFiniteInput(f"('system', {metric!r}): the scores of system {system!r} "
+                                     "overflow float64 when summed") from None
+
+        means = [[mean(m, s, row) for s, row in zip(self.systems, rows)]
+                 for m, rows in zip(self.metrics, self.values.tolist())] if q else []
         return np.array(means, dtype=np.float64).reshape(len(means), len(self.systems))
 
 

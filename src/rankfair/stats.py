@@ -8,7 +8,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .errors import (
     SystemSetMismatch,
     TooFewSamples,
 )
-from .metrics import MetricReport, ScoreTable, csv_text, json_text
+from .metrics import ScoreTable, csv_text, json_text
 
 #: Significance threshold used when flagging correlations.
 ALPHA = 0.05
@@ -126,41 +126,12 @@ def average_ranks(v: Sequence[float] | np.ndarray) -> np.ndarray:
     return ranks
 
 
-def spearman(
-    x: Sequence[float], y: Sequence[float], method: str = "t"
-) -> CorrelationResult:
-    """Spearman rank correlation: Pearson on average ranks.
-
-    ``method="t"`` uses the t approximation for the p-value; ``"exact"``
-    enumerates all permutations (only allowed for n < 10).
-    """
+def spearman(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
+    """Spearman rank correlation: Pearson on average ranks, with a
+    Student-t two-sided p-value."""
     x, y = _validated_pair(x, y)
-    n = x.shape[0]
-    rx = average_ranks(x)
-    ry = average_ranks(y)
-    rho = _pearson_r(rx, ry)
-    if method == "t":
-        p = _t_p_value(rho, n)
-    elif method == "exact":
-        if n >= 10:
-            raise ValueError("exact permutation p-value is limited to n < 10")
-        p = _exact_permutation_p(rx, ry, rho)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return CorrelationResult(rho, p, n)
-
-
-def _exact_permutation_p(rx: np.ndarray, ry: np.ndarray, rho_obs: float) -> float:
-    """Fraction of y-permutations whose |rho| reaches the observed one."""
-    n = rx.shape[0]
-    hits = 0
-    total = 0
-    threshold = abs(rho_obs) - 1e-12
-    for perm in itertools.permutations(range(n)):
-        rho = _pearson_r(rx, ry[list(perm)])
-        hits += abs(rho) >= threshold
-        total += 1
-    return hits / total
+    rho = _pearson_r(average_ranks(x), average_ranks(y))
+    return CorrelationResult(rho, _t_p_value(rho, x.shape[0]), x.shape[0])
 
 
 # --- correlation reports ---------------------------------------------------------
@@ -241,46 +212,6 @@ def agreement(
             sr = CorrelationResult(rho, _t_p_value(rho, n), n)
             rows.append(CorrelationRow(*pair, pr, sr, pr.p_value < alpha and sr.p_value < alpha))
     return CorrelationReport(alpha, tuple(rows), tuple(itertools.compress(pairs, constant)))
-
-
-def _score_table(reports: Mapping[str, MetricReport]) -> ScoreTable:
-    """Reports of every system as one table; the systems must cover the
-    same queries and metrics."""
-    systems = sorted(reports)
-    first = reports[systems[0]] if systems else MetricReport("", {}, {})
-    queries, metrics = first.queries, first.metrics
-    for system_tag in systems:
-        if reports[system_tag].queries != queries:
-            raise QuerySetMismatch(f"system {system_tag!r} covers a different query set")
-        if reports[system_tag].metrics != metrics:
-            raise ConfigError(f"system {system_tag!r} reports different metrics")
-    shape = (len(metrics), len(systems), len(queries))
-    values = [[[reports[s].per_query[q][m] for q in queries] for s in systems] for m in metrics]
-    absent = [[q in reports[s].missing_queries for q in queries] for s in systems]
-    return ScoreTable(systems, queries, metrics,
-                      np.reshape(values, shape), np.reshape(absent, shape[1:]))
-
-
-def correlation_report(
-    reports_a: Mapping[str, MetricReport],
-    reports_b: Mapping[str, MetricReport],
-    level: str = "both",
-    alpha: float = ALPHA,
-    exclude_missing: bool = False,
-) -> CorrelationReport:
-    """:func:`agreement` of two sets of metric reports, keeping the rows
-    and skipped pairs of ``level`` (``system``, ``query`` or ``both``).
-
-    The system level correlates per-system means of the per-query values,
-    as :func:`~rankfair.metrics.evaluate_runset` computes its aggregates.
-    """
-    if level not in ("system", "query", "both"):
-        raise ValueError(f"unknown level {level!r}")
-    report = agreement(_score_table(reports_a), _score_table(reports_b), alpha, exclude_missing)
-    kept = ("system", "query") if level == "both" else (level,)
-    rows = tuple(row for row in report.rows if row.level.split(":")[0] in kept)
-    skipped = tuple(pair for pair in report.skipped if pair[0].split(":")[0] in kept)
-    return CorrelationReport(alpha, rows, skipped)
 
 
 def _record(row: CorrelationRow) -> dict:

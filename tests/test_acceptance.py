@@ -43,9 +43,9 @@ from rankfair.metrics import (
     LN2,
     MetricConfig,
     ee_metrics,
-    evaluate_runset,
     js_divergence,
     kl_divergence,
+    score_runset,
 )
 from rankfair import simulate
 from rankfair.simulate import (
@@ -54,7 +54,7 @@ from rankfair.simulate import (
     default_cost_rates,
     generate_testbed,
 )
-from rankfair.stats import correlation_report, pearson, spearman
+from rankfair.stats import agreement, pearson, spearman
 from rankfair.errors import (
     DuplicateDocument,
     DuplicateJudgment,
@@ -305,14 +305,14 @@ def test_criterion_06_perfect_annotator_fixpoint():
             simulate.TestbedConfig(n_queries=6, docs_per_query=80, n_groups=4, n_systems=8, seed=6)
         )
         config = MetricConfig()
-        reports_a = evaluate_runset(bed.runset, bed.qrels, bed.table, ["group"], config)
+        scores_a = score_runset(bed.runset, bed.qrels, bed.table, ["group"], config)
         copy = GroupMembershipTable(
             [bed.table.scheme("group")],
             {"group": dict(bed.table.docs("group"))},
             provenance="model",
         )
-        reports_b = evaluate_runset(bed.runset, bed.qrels, copy, ["group"], config)
-        report = correlation_report(reports_a, reports_b, level="both")
+        scores_b = score_runset(bed.runset, bed.qrels, copy, ["group"], config)
+        report = agreement(scores_a, scores_b)
         assert report.rows, "no correlation rows produced"
         assert not report.skipped
         levels = {row.level for row in report.rows}

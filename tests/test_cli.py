@@ -160,15 +160,15 @@ class TestCompare:
         tmp_path, config_path, _ = workspace
         result = invoke("compare", "--config", str(config_path))
         assert result.exit_code == 0
-        from rankfair.metrics import MetricConfig, evaluate_runset
-        from rankfair.stats import correlation_report, correlation_to_json
+        from rankfair.metrics import MetricConfig, score_runset
+        from rankfair.stats import agreement, correlation_to_json
 
         scheme = GroupScheme("pair", ("g0", "g1"))
         runset = parse_run(RUNS)
         qrels = parse_qrels(QRELS)
-        reports_a = evaluate_runset(runset, qrels, parse_annotations(HUMAN, [scheme]), ["pair"], MetricConfig())
-        reports_b = evaluate_runset(runset, qrels, parse_annotations(MODEL, [scheme]), ["pair"], MetricConfig())
-        want = correlation_report(reports_a, reports_b, level="both")
+        scores_a = score_runset(runset, qrels, parse_annotations(HUMAN, [scheme]), ["pair"], MetricConfig())
+        scores_b = score_runset(runset, qrels, parse_annotations(MODEL, [scheme]), ["pair"], MetricConfig())
+        want = agreement(scores_a, scores_b)
         assert read_out(tmp_path, "correlation.json") == correlation_to_json(want)
 
     def test_mismatched_system_sets(self, workspace, tmp_path):
@@ -291,6 +291,19 @@ class TestSample:
         assert first != second
         invoke("sample", "--config", str(cpath), "--train", "10", "--test", "5", "--seed", "1")
         assert read_out(tmp_path, "train.txt") == first
+
+    def test_two_configured_schemes_need_the_flag(self, tmp_path):
+        cpath = self._annotations(tmp_path)
+        config = json.loads(cpath.read_text())
+        config["schemes"].append({"name": "other", "groups": ["a", "b"]})
+        config["eval_schemes"] = ["pair", "other"]
+        cpath.write_text(json.dumps(config))
+        args = ["sample", "--config", str(cpath), "--train", "10", "--test", "5"]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 1
+        assert "ConfigError: pass --scheme to pick the sampling scheme" in result.output
+        assert not (tmp_path / "out").exists()
+        assert invoke(*args, "--scheme", "pair").exit_code == 0
 
     def test_insufficient_documents(self, tmp_path):
         cpath = self._annotations(tmp_path, per_group=3)
@@ -538,6 +551,9 @@ BAD_INPUTS = [
     (["sweep", "--levels", "0.5,1.0", "--trials", "1"],
      {"testbed": {"queries": 2, "docs_per_query": 10, "groups": 2, "systems": 2, "seed": 1}},
      "TooFewSamples: need at least 3 systems, got 2"),
+    (["sweep", "--runs", "runs.txt"], {}, "--annotations"),
+    (["sweep"], {"annotations": "human.tsv"}, "--runs"),
+    (["sweep"], {"runs": "runs.txt"}, "'annotations'"),
 ]
 
 

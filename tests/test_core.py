@@ -13,7 +13,6 @@ from rankfair.core import (
     Ranking,
     RankingSequence,
     RunSet,
-    intersect_schemes,
     intersect_tables,
     membership_of,
     normalize,
@@ -158,20 +157,28 @@ class TestMembershipOf:
             assert a == b
 
 
+def intersect_one(v1: MembershipVector, v2: MembershipVector) -> MembershipVector:
+    """The joint row intersect_tables gives a document whose rows are v1 and v2."""
+    table = GroupMembershipTable(
+        [v1.scheme, v2.scheme], {v1.scheme.name: {"d": v1}, v2.scheme.name: {"d": v2}}
+    )
+    return intersect_tables(table, [v1.scheme.name, v2.scheme.name]).get("overall", "d")
+
+
 class TestIntersect:
     def test_one_hot_kronecker(self):
         scheme3 = GroupScheme("g3", ("a", "b", "c"))
-        v = intersect_schemes(one_hot(scheme3, 0), one_hot(GEO, 1))
+        v = intersect_one(one_hot(scheme3, 0), one_hot(GEO, 1))
         assert v.weights == (0.0, 1.0, 0.0, 0.0, 0.0, 0.0)
 
     def test_product_measure(self):
-        half = MembershipVector(GEO, (0.5, 0.5))
-        v = intersect_schemes(half, half)
+        tone = GroupScheme("tone", ("x", "y"))
+        v = intersect_one(MembershipVector(GEO, (0.5, 0.5)), MembershipVector(tone, (0.5, 0.5)))
         assert v.weights == (0.25, 0.25, 0.25, 0.25)
 
     def test_dimension_of_product(self):
         geo21 = GroupScheme("geo21", tuple(f"c{i}" for i in range(21)))
-        v = intersect_schemes(one_hot(GENDER, 0), one_hot(geo21, 5))
+        v = intersect_one(one_hot(GENDER, 0), one_hot(geo21, 5))
         assert len(v.weights) == 84
 
     def test_marginals_recover_inputs(self):
@@ -179,7 +186,7 @@ class TestIntersect:
         for _ in range(300):
             v1 = normalize(rng.uniform(0, 1, size=4) + 1e-6, GENDER)
             v2 = normalize(rng.uniform(0, 1, size=2) + 1e-6, GEO)
-            joint = np.asarray(intersect_schemes(v1, v2).weights).reshape(4, 2)
+            joint = np.asarray(intersect_one(v1, v2).weights).reshape(4, 2)
             np.testing.assert_allclose(joint.sum(axis=1), v1.weights, atol=1e-12, rtol=0)
             np.testing.assert_allclose(joint.sum(axis=0), v2.weights, atol=1e-12, rtol=0)
 

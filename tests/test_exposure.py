@@ -238,12 +238,6 @@ class TestTargetFromQrels:
         with pytest.raises(NoRelevantDocuments):
             target_from_qrels(qrels, "q", table, G2)
 
-    def test_corpus_wide_pools_queries(self):
-        table = make_table(G2, {"d1": 0, "d2": 1, "d3": 1})
-        qrels = Qrels({"qa": {"d1": 1}, "qb": {"d2": 1, "d3": 1}})
-        t = target_from_qrels(qrels, "qa", table, G2, corpus_wide=True)
-        np.testing.assert_allclose(t.masses, [1 / 3, 2 / 3], atol=1e-15, rtol=0)
-
 
 class TestTargetUniform:
     def test_include_all(self):

@@ -25,7 +25,6 @@ from rankfair.stats import (
     CorrelationRow,
     agreement,
     average_ranks,
-    correlation_report,
     correlation_to_csv,
     correlation_to_json,
     pearson,
@@ -275,26 +274,20 @@ class TestSpearman:
             assert spearman(np.exp(x), y).coefficient == base
             assert spearman(x, y**3).coefficient == base
 
-    def test_exact_permutation_small_n(self):
-        got = spearman([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], method="exact")
-        assert got.coefficient == 1.0
-        # 2 of 3! = 6 permutations reach |rho| = 1
-        assert got.p_value == pytest.approx(2 / 6, abs=0)
-        with pytest.raises(ValueError):
-            spearman(list(range(10)), list(range(10)), method="exact")
 
-
-def make_reports(scores):
-    """scores: {system: {query: value}} -> {system: MetricReport} with one metric."""
-    out = {}
-    for system, per_query in scores.items():
-        pq = {q: {"awrf:pair": v} for q, v in per_query.items()}
-        agg = {"awrf:pair": math.fsum(per_query.values()) / len(per_query)}
-        out[system] = MetricReport(system, pq, agg)
-    return out
+def score_table(scores, missing=()):
+    """scores: {system: {query: value}} -> a one-metric ScoreTable;
+    ``missing`` holds the (system, query) pairs marked absent."""
+    systems = sorted(scores)
+    queries = sorted(scores[systems[0]])
+    values = [[[scores[s][q] for q in queries] for s in systems]]
+    absent = [[(s, q) in missing for q in queries] for s in systems]
+    return ScoreTable(systems, queries, ("awrf:pair",), values, absent)
 
 
 class TestCorrelationReport:
+    """The report ``agreement`` builds from two score tables."""
+
     def _scores(self, offset=0.0, n_sys=4, n_q=5):
         rng = np.random.default_rng(89)
         return {
@@ -304,8 +297,8 @@ class TestCorrelationReport:
         }
 
     def test_self_correlation_all_ones(self):
-        reports = make_reports(self._scores())
-        result = correlation_report(reports, reports, level="both")
+        table = score_table(self._scores())
+        result = agreement(table, table)
         assert result.rows
         for row in result.rows:
             assert row.pearson.coefficient == 1.0
@@ -314,60 +307,50 @@ class TestCorrelationReport:
             assert row.significant
 
     def test_system_level_n(self):
-        scores = self._scores(n_sys=13)
-        reports = make_reports(scores)
-        result = correlation_report(reports, reports, level="system")
-        assert result.rows[0].pearson.n == 13
+        table = score_table(self._scores(n_sys=13))
+        result = agreement(table, table)
+        assert result.system_rows()[0].pearson.n == 13
 
     def test_query_rows_shape(self):
-        reports = make_reports(self._scores(n_sys=5, n_q=7))
-        result = correlation_report(reports, reports, level="query")
-        assert len(result.rows) == 7
-        assert all(r.level.startswith("query:") for r in result.rows)
+        table = score_table(self._scores(n_sys=5, n_q=7))
+        rows = agreement(table, table).query_rows()
+        assert len(rows) == 7
+        assert all(r.level.startswith("query:") for r in rows)
 
     def test_system_set_mismatch(self):
-        a = make_reports(self._scores())
-        b = make_reports({("sysX" if s == "sys0" else s): v
-                          for s, v in self._scores().items()})
+        a = score_table(self._scores())
+        b = score_table({("sysX" if s == "sys0" else s): v for s, v in self._scores().items()})
         with pytest.raises(SystemSetMismatch):
-            correlation_report(a, b)
+            agreement(a, b)
 
     def test_query_set_mismatch(self):
-        a = make_reports(self._scores())
-        scores = self._scores()
-        scores["sys1"] = {"qZ": 1.0}
-        b = make_reports(scores)
+        a = score_table(self._scores())
+        renamed = {s: {("qZ" if q == "q1" else q): x for q, x in v.items()}
+                   for s, v in self._scores().items()}
         with pytest.raises(QuerySetMismatch):
-            correlation_report(a, b)
+            agreement(a, score_table(renamed))
 
     def test_too_few_systems(self):
-        a = make_reports(self._scores(n_sys=2))
+        a = score_table(self._scores(n_sys=2))
         with pytest.raises(TooFewSamples):
-            correlation_report(a, a)
+            agreement(a, a)
 
     def test_constant_side_is_skipped_not_silent(self):
         scores = self._scores()
         constant = {s: {q: 0.5 for q in v} for s, v in scores.items()}
-        result = correlation_report(make_reports(scores), make_reports(constant))
+        result = agreement(score_table(scores), score_table(constant))
         assert result.rows == ()
         assert ("system", "awrf:pair") in result.skipped
 
     def test_exclude_missing_drops_queries(self):
-        scores = self._scores(n_sys=3, n_q=4)
-        reports_a = {}
-        for system, per_query in scores.items():
-            pq = {q: {"awrf:pair": v} for q, v in per_query.items()}
-            agg = {"awrf:pair": math.fsum(per_query.values()) / len(per_query)}
-            missing = ("q1",) if system == "sys0" else ()
-            reports_a[system] = MetricReport(system, pq, agg, missing)
-        result = correlation_report(reports_a, reports_a, level="query",
-                                    exclude_missing=True)
-        assert len(result.rows) == 3
-        assert all(r.level != "query:q1" for r in result.rows)
+        table = score_table(self._scores(n_sys=3, n_q=4), missing={("sys0", "q1")})
+        rows = agreement(table, table, exclude_missing=True).query_rows()
+        assert len(rows) == 3
+        assert all(r.level != "query:q1" for r in rows)
 
     def test_csv_and_json(self):
-        reports = make_reports(self._scores())
-        result = correlation_report(reports, reports)
+        table = score_table(self._scores())
+        result = agreement(table, table)
         csv_text = correlation_to_csv(result)
         header = csv_text.splitlines()[0]
         assert header == "level,metric,pearson_r,pearson_p,spearman_rho,spearman_p,significant"
@@ -412,7 +395,6 @@ def reference_correlation_report(
     reports_b: Mapping[str, MetricReport],
     level: str = "both",
     alpha: float = ALPHA,
-    spearman_method: str = "t",
     exclude_missing: bool = False,
 ) -> CorrelationReport:
     """Correlate metric scores computed under two annotation sources.
@@ -433,7 +415,7 @@ def reference_correlation_report(
     def correlate(tag: str, metric: str, xs, ys):
         try:
             pr = pearson(xs, ys)
-            sr = spearman(xs, ys, method=spearman_method)
+            sr = spearman(xs, ys)
         except ConstantInput:
             skipped.append((tag, metric))
             return
@@ -533,7 +515,6 @@ def test_agreement_matches_the_report_walk(pair, exclude_missing):
     reports = reports_of(a), reports_of(b)
     want = outcome(reference_correlation_report, *reports, exclude_missing=exclude_missing)
     assert outcome(agreement, a, b, exclude_missing=exclude_missing) == want
-    assert outcome(correlation_report, *reports, exclude_missing=exclude_missing) == want
 
 
 class TestAgreement:
@@ -578,6 +559,17 @@ class TestAgreement:
             agreement(self.table(values), good)
         with pytest.raises(NonFiniteInput, match=f"{pair}: the second table holds {bad}"):
             agreement(good, self.table(values), exclude_missing=True)
+
+    def test_overflowing_sum_names_the_metric_and_system(self):
+        table = self.table([[1e308, 1e308, 0.5], [0.2, 0.4, 0.3], [0.3, 0.2, 0.5]])
+        pair = "\\('system', 'awrf:g'\\)"
+        with pytest.raises(NonFiniteInput, match=f"{pair}: the scores of system 's0' overflow"):
+            agreement(table, table)
+
+    def test_sums_near_the_limit_keep_their_bits(self):
+        values = [[8e307, 8e307, 1.0], [1e308, -1e308, 1e308], [0.1, 0.2, 0.3]]
+        got = self.table(values).means()[0].tolist()
+        assert [m.hex() for m in got] == [(math.fsum(row) / 3).hex() for row in values]
 
     def test_no_queries_no_rows(self):
         empty = self.table(np.zeros((1, 3, 0)))

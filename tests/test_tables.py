@@ -21,11 +21,11 @@ from rankfair.core import (
     GroupScheme,
     MembershipVector,
     MissingPolicy,
-    intersect_schemes,
     intersect_tables,
     membership_of,
     normalize,
     one_hot,
+    product_scheme,
 )
 from rankfair.errors import LengthMismatch
 from rankfair.simulate import _doc_uniforms, apply_confusion, confusion_for_accuracy
@@ -40,6 +40,17 @@ DOCS = ("d0", "d1", "d10", "d2", "d9", "e")
 
 def hexes(weights):
     return [float(w).hex() for w in weights]
+
+
+def intersect_schemes(v1: MembershipVector, v2: MembershipVector) -> MembershipVector:
+    """Joint membership over the product scheme, assuming independence.
+
+    Entry (i, j) of the result is ``v1[i] * v2[j]``; marginalizing the
+    output over either scheme recovers the other input.
+    """
+    scheme = product_scheme(v1.scheme, v2.scheme)
+    weights = tuple(a * b for a in v1.weights for b in v2.weights)
+    return normalize(weights, scheme)
 
 
 def fold_reference(table, names, fallback):
