@@ -15,6 +15,7 @@ import math
 import os
 import pickle
 import stat
+import warnings
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -71,8 +72,8 @@ def _range_chunks(fd: int, start: int, stop: int) -> Iterator[bytes]:
         yield chunk
 
 
-def _line_blocks(chunks: Iterable[str | bytes], at_start: bool = True) -> Iterator[list[str]]:
-    r"""Lines of text or UTF-8 bytes chunks, a block at a time.
+def _text_blocks(chunks: Iterable[str | bytes], at_start: bool = True) -> Iterator[str]:
+    r"""Text or UTF-8 bytes chunks as blocks of whole lines.
 
     Lines are those of ``text.splitlines()`` on the whole text: a block is
     cut only after a ``\n``, or after a ``\r`` that is not its last
@@ -89,22 +90,23 @@ def _line_blocks(chunks: Iterable[str | bytes], at_start: bool = True) -> Iterat
         cut = max(text.rfind("\n"), text.rfind("\r", 0, len(text) - 1)) + 1
         carry = text[cut:]
         if cut:
-            yield text[:cut].splitlines()
+            yield text[:cut]
     carry += decoder.decode(b"", final=True)
     if carry:
-        yield carry.splitlines()
+        yield carry
 
 
 def _lines(source: str | bytes | IO) -> Iterator[tuple[int, str]]:
     """Yield (1-based line number, text) from a string, bytes, or file object."""
-    return enumerate(chain.from_iterable(_line_blocks(_chunks(source))), start=1)
+    blocks = _text_blocks(_chunks(source))
+    return enumerate(chain.from_iterable(map(str.splitlines, blocks)), start=1)
 
 
 # --- run files ----------------------------------------------------------------
 
 
 def parse_run(source: str | bytes | IO) -> RunSet:
-    """Parse a TREC-style run: ``<qid> Q0 <docid> <rank> <score> <tag>``.
+    r"""Parse a TREC-style run: ``<qid> Q0 <docid> <rank> <score> <tag>``.
 
     Fields are separated by runs of spaces or tabs. The second field is
     carried for compatibility and its content is ignored. Entries are
@@ -113,6 +115,17 @@ def parse_run(source: str | bytes | IO) -> RunSet:
     (tag, qid) keys become integer codes as lines arrive, and duplicates and
     the rank order are found with array operations at the end. An error
     names the first faulty line of the file.
+
+    A block is tokenized by numpy's C text reader when it is ASCII, holds
+    none of NUL, ``\x0b``, ``\x0c``, ``\x1c``, ``\x1d`` and ``\x1e``, and
+    the reader returns one row per line (as ``str.splitlines`` counts them)
+    with no error and no warning; its ids must also be shorter than 256
+    bytes and their hashes must not collide. The first block that fails
+    any of these (a blank or faulty line, a rank beyond int64, a number
+    numpy does not read) and every block after it in the same part of the
+    file (see below) are tokenized by the per-line loop, which gives the
+    same columns and every error; so a part costs at most one block's
+    failed reads more than the loop alone.
 
     A regular file of at least ``2 * MIN_PART`` bytes, opened at its start
     in binary or strict UTF-8 text mode, is cut after ``\n`` bytes into up
@@ -147,6 +160,10 @@ def _scan_run(chunks: Iterable[str | bytes], at_start: bool = True) -> tuple:
     each blank line; ``columns`` are the doc code, key code, rank and score
     of each entry, as arrays (ranks as a list once one is beyond int64).
     Line numbers in errors count from the first line of ``chunks``.
+
+    Blocks of lines are read by ``_read_block`` and coded by ``_code_docs``
+    until one of them refuses a block; that block and the rest are read
+    line by line. Both give the same codes and columns.
     """
     docs: dict[str, int] = {}
     keys: dict[tuple[str, str], int] = {}
@@ -159,9 +176,36 @@ def _scan_run(chunks: Iterable[str | bytes], at_start: bool = True) -> tuple:
     last_tag = last_qid = None
     key = -1
     number = 0
+    width = _WIDTH  # of the block reader's id fields; 0 once a block went to the loop
+    seen = [np.empty(0, np.uint64), np.empty(0, np.int64), np.empty(0, f"S{_WIDTH}")]
     try:
-        for lines in _line_blocks(chunks, at_start):
-            for line in lines:
+        for text in _text_blocks(chunks, at_start):
+            rows = _read_block(text, width) if width else None
+            codes = None if rows is None else _code_docs(rows["doc"], docs, seen)
+            if codes is not None:
+                width = rows.dtype["doc"].itemsize
+                qids, tags = rows["qid"], rows["tag"]
+                changed = (qids[1:] != qids[:-1]) | (tags[1:] != tags[:-1])
+                starts = [0, *(np.flatnonzero(changed) + 1).tolist()]
+                run_keys = []
+                for qid, tag in zip(qids[starts].tolist(), tags[starts].tolist()):
+                    qid, tag = qid.decode(), tag.decode()
+                    if qid != last_qid or tag != last_tag:
+                        key = keys.setdefault((tag, qid), len(keys))
+                        last_tag, last_qid = tag, qid
+                    run_keys.append(key)
+                lengths = np.diff([*starts, len(rows)])
+                key_codes.frombytes(np.repeat(np.array(run_keys, np.int64), lengths).tobytes())
+                doc_codes.frombytes(codes.tobytes())
+                if isinstance(ranks, list):
+                    ranks += rows["rank"].tolist()
+                else:
+                    ranks.frombytes(rows["rank"].tobytes())
+                scores.frombytes(rows["score"].tobytes())
+                number += len(rows)
+                continue
+            width = 0  # the rest of the scan goes to the line loop
+            for line in text.splitlines():
                 number += 1
                 fields = line.split()
                 if len(fields) != 6:
@@ -197,6 +241,102 @@ def _scan_run(chunks: Iterable[str | bytes], at_start: bool = True) -> tuple:
         _raise_first_duplicate(np.asarray(doc_codes), np.asarray(key_codes), docs, keys, blanks)
         raise
     return docs, keys, blanks, (doc_codes, key_codes, ranks, scores)
+
+
+# --- block reader ---------------------------------------------------------------
+
+#: Bytes held for a qid, doc id or tag by the block reader at first; doubled
+#: while a field fills its width (and may have been cut), up to ``_MAX_WIDTH``.
+_WIDTH = 16
+_MAX_WIDTH = 256
+
+#: ASCII characters that ``str.splitlines`` breaks a line at but numpy's
+#: reader reads as blanks within one, and NUL, which an id field would
+#: hold as its padding.
+_NOT_PLAIN = "\x00\x0b\x0c\x1c\x1d\x1e"
+
+#: An odd multiplier for each 8-byte word of a doc id, for its hash.
+_MIX = (2 * np.arange(_MAX_WIDTH // 8, dtype=np.uint64) + 1) * np.uint64(0x9E3779B97F4A7C15)
+
+
+def _read_block(text: str, width: int) -> np.ndarray | None:
+    r"""The entries of a block of lines, read by numpy's C text reader with
+    id fields of ``width`` bytes or wider; None unless every line is an
+    entry that the line loop would read the same way.
+
+    The block must be ASCII and hold none of ``_NOT_PLAIN``, and the reader
+    must return one row per line as ``str.splitlines`` counts them (it
+    skips blank lines), with no error and no warning: ``int`` and ``float``
+    then read each rank and score as the reader does.
+    """
+    if not text.isascii() or any(c in text for c in _NOT_PLAIN):
+        return None
+    lines = text.count("\n") + (text[-1] not in "\r\n")
+    if "\r" in text:  # a lone "\r" ends a line too
+        lines += text.count("\r") - text.count("\r\n")
+    while width <= _MAX_WIDTH:
+        entry = _entry_type(width)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                rows = np.loadtxt(io.BytesIO(text.encode()), entry, comments=None, ndmin=1)
+            except (ValueError, OverflowError):
+                return None
+        if caught or len(rows) != lines:
+            return None
+        ends = [entry.fields[name][1] + width - 1 for name in ("qid", "doc", "tag")]
+        if not rows.view(np.uint8).reshape(lines, -1)[:, ends].any():
+            return rows
+        width *= 2  # a field fills its width: read again, wider
+    return None
+
+
+def _entry_type(width: int) -> np.dtype:
+    """One run line as ``np.loadtxt`` reads it: all six fields, so that a
+    line with another number of fields is an error; ``Q0`` is read only
+    to be counted."""
+    text = f"S{width}"
+    return np.dtype([
+        ("qid", text), ("q0", "S1"), ("doc", text),
+        ("rank", np.int64), ("score", np.float64), ("tag", text),
+    ])
+
+
+def _code_docs(column: np.ndarray, docs: dict[str, int], seen: list) -> np.ndarray | None:
+    """The doc code of each id in a block's doc column, with new ids added
+    to ``docs`` and ``seen`` in order of first appearance; None, with
+    nothing added, if two ids' hashes collide.
+
+    ``seen`` holds the sorted hashes of the ids that earlier blocks coded,
+    their codes, and those ids by code. The line loop adds to ``docs`` only
+    once the reader has stopped, so ``seen`` holds every id in ``docs``.
+    An id's hash is the sum of its 8-byte words, each times its ``_MIX``
+    multiplier; NUL padding adds nothing, so it does not depend on width.
+    """
+    hashes, hash_codes, ids = seen
+    words = np.ascontiguousarray(column).view(np.uint64).reshape(len(column), -1)
+    unique, inverse = np.unique(words @ _MIX[: words.shape[1]], return_inverse=True)
+    at = np.searchsorted(hashes, unique)
+    known = at < len(hashes)
+    known[known] = hashes[at[known]] == unique[known]
+    unique_codes = np.empty(len(unique), np.int64)
+    unique_codes[known] = hash_codes[at[known]]
+    fresh = np.flatnonzero(~known[inverse])  # entries of ids no earlier block coded
+    new, first = np.unique(inverse[fresh], return_index=True)
+    order = np.argsort(first)  # first appearance
+    unique_codes[new[order]] = np.arange(len(docs), len(docs) + len(new))
+    codes = unique_codes[inverse]
+    ids = np.concatenate((ids, column[fresh[first[order]]]))
+    if not np.array_equal(ids[codes], column):
+        return None
+    docs.update(zip(map(bytes.decode, ids[len(docs):].tolist()), range(len(docs), len(ids))))
+    added = ~known
+    seen[:] = (
+        np.insert(hashes, at[added], unique[added]),
+        np.insert(hash_codes, at[added], unique_codes[added]),
+        ids,
+    )
+    return codes
 
 
 def _raise_first_duplicate(

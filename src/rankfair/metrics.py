@@ -279,17 +279,26 @@ class ScoreTable:
             object.__setattr__(self, name, arr)
 
     def means(self) -> np.ndarray:
-        """Per-system means, shape (metrics, systems): ``math.fsum`` over the
-        queries divided by their count. A table without queries has none; a
-        sum beyond the float64 range raises ``NonFiniteInput``."""
+        """Per-system means, shape (metrics, systems): the exact sum over the
+        queries, rounded once, divided by their count. ``math.fsum`` gives
+        that sum unless one of its partial sums overflows; then it is summed
+        as fractions. A table without queries has none; a sum beyond the
+        float64 range raises ``NonFiniteInput``."""
         q = len(self.queries)
 
         def mean(metric: str, system: str, row: list[float]) -> float:
             try:
                 return math.fsum(row) / q
-            except OverflowError:
-                raise NonFiniteInput(f"('system', {metric!r}): the scores of system {system!r} "
-                                     "overflow float64 when summed") from None
+            except OverflowError:  # a partial sum overflows; the exact sum may not
+                from fractions import Fraction  # imported here: only this case needs it
+
+                try:
+                    return float(sum(map(Fraction, row))) / q
+                except OverflowError:
+                    raise NonFiniteInput(
+                        f"('system', {metric!r}): the scores of system {system!r} "
+                        "overflow float64 when summed"
+                    ) from None
 
         means = [[mean(m, s, row) for s, row in zip(self.systems, rows)]
                  for m, rows in zip(self.metrics, self.values.tolist())] if q else []

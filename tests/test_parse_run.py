@@ -7,6 +7,8 @@ so far, and rankings are sorted as tuples. The new parser must return an
 equal RunSet, or raise the same error class for the same line, on any
 input. A file cut into byte ranges that are scanned in parallel must give
 the same columns, bit for bit, and the same errors as a one-part parse.
+Blocks of plain ASCII lines are read by numpy's text reader and every other
+block line by line; both must give the same columns, bit for bit.
 """
 
 import contextlib
@@ -14,13 +16,15 @@ import errno
 import gzip
 import io
 import os
+import warnings
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankfair import _fork, ingest
+from rankfair import _fork, ingest, simulate
 from rankfair.core import Ranking, RunSet
 from rankfair.errors import (
     DuplicateDocument,
@@ -86,7 +90,46 @@ def outcome(parse, source):
         return None, (type(exc), exc.line, str(exc))
 
 
-def assert_same(text, kind="str", block=None):
+def layout(runset):
+    """Each ranking's doc ids and score bits, by (system, query)."""
+    spans = {(s, q): runset.span(s, q) for s in runset.systems for q in runset.queries(s)}
+    return {
+        key: (runset.doc_list(start, stop), runset.scores[start:stop].tobytes())
+        for key, (start, stop) in spans.items()
+    }
+
+
+@contextlib.contextmanager
+def block_reads():
+    """Yields a list that gets, for each block the block reader is tried
+    on, True if it took the block and False if the block went to the line
+    loop (as does the rest of its scan, which the list does not count)."""
+    taken = []
+    read, code = ingest._read_block, ingest._code_docs
+
+    def read_spy(text, width):
+        rows = read(text, width)
+        if rows is None:
+            taken.append(False)
+        return rows
+
+    def code_spy(column, docs, seen):
+        codes = code(column, docs, seen)
+        taken.append(codes is not None)
+        return codes
+
+    with (
+        mock.patch.object(ingest, "_read_block", read_spy),
+        mock.patch.object(ingest, "_code_docs", code_spy),
+    ):
+        yield taken
+
+
+def assert_same(text, kind="str", block=None, fast=False):
+    """``parse_run`` equals the oracle: the same rankings, score bits
+    included, or the same error; with ``fast``, every block was taken by
+    the block reader."""
+
     def source():
         if kind == "str":
             return text
@@ -99,15 +142,13 @@ def assert_same(text, kind="str", block=None):
         return io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8")
 
     want, want_error = outcome(oracle_parse_run, source())
-    if block is None:
+    with block_reads() as taken, mock.patch.object(ingest, "_BLOCK", block or ingest._BLOCK):
         got, got_error = outcome(parse_run, source())
-    else:
-        with mock.patch.object(ingest, "_BLOCK", block):
-            got, got_error = outcome(parse_run, source())
     assert got_error == want_error
     if want is not None:
-        assert got == want
-        assert list(got.rankings()) == list(want.rankings())
+        assert layout(got) == layout(want)
+    if fast:
+        assert all(taken) and (taken or not text)
     return got, got_error
 
 
@@ -240,56 +281,249 @@ class TestRunSetColumns:
         assert parse_run(text) != parse_run(text.replace("d2", "d3"))
 
 
+class TestBlockReader:
+    def test_testbed_run_file_takes_no_fallback(self):
+        """``gen-testbed --small``'s run file: one reader call per block, each
+        block taken, and the columns of the line loop, bit for bit."""
+        bed = simulate.generate_testbed(
+            simulate.TestbedConfig(n_queries=5, docs_per_query=100, n_groups=3, n_systems=30)
+        )
+        text = write_run(bed.runset)
+        with mock.patch.object(ingest, "_BLOCK", 1 << 16):
+            blocks = sum(1 for _ in ingest._text_blocks(ingest._chunks(text)))
+            with (
+                block_reads() as taken,
+                mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as reader,
+            ):
+                got = parse_run(text)
+            with mock.patch.object(ingest, "_read_block", lambda text, width: None):
+                want = parse_run(text)
+        assert blocks > 1 and reader.call_count == blocks
+        assert taken == [True] * blocks
+        assert stored(got) == stored(want)
+        assert layout(got) == layout(bed.runset)
+
+    @pytest.mark.parametrize("char", ["\x00", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
+    @pytest.mark.parametrize("where", ["doc", "blank", "end"])
+    def test_characters_left_to_the_line_loop(self, char, where):
+        line = {
+            "doc": f"q1 Q0 d{char}x 2 1 s",
+            "blank": f"q1 Q0 dx 2 1{char}s",
+            "end": f"q1 Q0 dx 2 1 s{char}",
+        }[where]
+        with block_reads() as taken:
+            assert_same(f"q1 Q0 d1 1 1 s\n{line}\n")
+        assert taken == [False]
+
+    def test_unit_separator_is_a_blank_to_both(self):
+        with block_reads() as taken:
+            _, error = assert_same("q1 Q0 d\x1fx 1 1 s\n")
+        assert error[:2] == (MalformedLine, 1) and taken == [False]
+        got, _ = assert_same("q1\x1fQ0 d1 1 1\x1fs\n", fast=True)
+        assert got.get("s", "q1").doc_ids == ("d1",)
+
+    def test_form_feed_inside_a_line(self):
+        """One row of six fields to numpy's reader, two lines to the loop."""
+        _, error = assert_same("q Q0 d 1 1\x0ct\n")
+        assert error[:2] == (MalformedLine, 1)
+
+    @pytest.mark.parametrize("size", [15, 16, 17, 40, 256, 257, 1000])
+    @pytest.mark.parametrize("field", [0, 2, 5])
+    def test_ids_wider_than_the_first_width(self, size, field):
+        long = "x" * size
+        lines = []
+        for rank, doc in enumerate(["d0", "d1", "d2"]):
+            fields = ["q1", "Q0", doc, str(rank), "1.0", "s"]
+            if rank:
+                fields[field] = long[:-1] + str(rank)
+            lines.append(" ".join(fields) + "\n")
+        got, _ = assert_same("".join(lines), fast=size < ingest._MAX_WIDTH)
+        names = {0: got.all_queries, 2: got.vocabulary, 5: got.systems}[field]
+        assert long[:-1] + "2" in names
+
+    @pytest.mark.parametrize(
+        "score, bits",
+        [
+            ("nan", float("nan")), ("-nan", -float("nan")), ("1e-400", 0.0),
+            ("+5", 5.0), ("-0.0", -0.0), ("-inf", -float("inf")), ("1e400", float("inf")),
+        ],
+    )
+    def test_score_bits(self, score, bits):
+        got, _ = assert_same(f"q1 Q0 d1 +5 {score} s\nq1 Q0 d2 -0 1 s\n", fast=True)
+        start, stop = got.span("s", "q1")
+        assert got.doc_list(start, stop) == ["d2", "d1"]
+        assert got.scores[stop - 1 : stop].tobytes() == np.float64(bits).tobytes()
+
+    @pytest.mark.parametrize("text", ["1.5", "1_0", "99999999999999999999", "١"])
+    def test_ranks_the_reader_refuses(self, text):
+        with block_reads() as taken:
+            assert_same(f"q1 Q0 d1 {text} 1 s\n")
+        assert taken == [False]
+
+    @pytest.mark.parametrize("blank", ["", " ", "\t", " \t ", "\r", "\r ", "\r\r"])
+    def test_whitespace_only_lines(self, blank):
+        with block_reads() as taken:
+            got, _ = assert_same(f"q1 Q0 d1 1 1 s\n{blank}\nq1 Q0 d2 2 1 s\n")
+        assert taken == [False] and len(got.get("s", "q1")) == 2
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "q1 Q0 d1 1 1 s\r\r\nq1 Q0 d1 2 1 s\n",  # the blank line counts: line 3
+            "q1 Q0 d1 1 1 s\r \nq1 Q0 d1 2 1 s\n",
+            "q1 Q0 d1 1 1 s\rq1 Q0 d1 2 1 s\r\r",
+        ],
+    )
+    def test_blank_line_after_a_lone_carriage_return(self, text):
+        """A lone "\r" ends a line, and the blank line after it must be
+        counted: the block goes to the line loop."""
+        with block_reads() as taken:
+            assert_same(text)
+        assert taken == [False]
+
+    @pytest.mark.parametrize(
+        "text", ["q1 Q0 d1 1 1 s\r", "q1 Q0 d1 1 1 s\rq1 Q0 d2 2 1 s\r\nq1 Q0 d3 3 1 s\r"]
+    )
+    def test_lone_carriage_returns(self, text):
+        assert_same(text)
+
+    def test_rest_of_the_scan_goes_to_the_line_loop(self):
+        """Blocks of one line each: the reader codes "d" and "e", the loop
+        finds them again, and no block after the loop's first is tried."""
+        text = "q1 Q0 d 1 1 s\nq1 Q0 e 2 1 s\nq1 Q0 dé 3 1 s\nq1 Q0 e 1 1 t\nq1 Q0 d 2 1 t\n"
+        with (
+            mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as reader,
+            block_reads() as taken,
+        ):
+            got, _ = assert_same(text, block=1)
+        assert taken == [True, True, False] and reader.call_count == 2
+        assert got.vocabulary == ("d", "e", "dé")
+
+    def test_ids_wider_than_the_last_width_stop_the_reader(self):
+        """After a block whose id is too wide for any width, the reader is
+        not called again."""
+        text = "q1 Q0 " + "d" * 300 + " 1 1 s\nq1 Q0 d2 2 1 s\nq1 Q0 d3 3 1 s\n"
+        with (
+            mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as reader,
+            block_reads() as taken,
+        ):
+            assert_same(text, block=1)
+        assert taken == [False] and reader.call_count == 5  # widths 16 to 256
+
+    @pytest.mark.parametrize("split", [False, True])
+    def test_hash_collision_goes_to_the_line_loop(self, split):
+        """With every hash 0, a second id is found as the first one's code:
+        the block goes to the loop before ``docs`` changes."""
+        zero = np.zeros_like(ingest._MIX)
+        text = "q1 Q0 d1 1 1 s\nq1 Q0 d1 1 1 t\n"
+        with mock.patch.object(ingest, "_MIX", zero), block_reads() as taken:
+            assert_same(text, fast=True)  # one id: no collision
+            got, _ = assert_same(text + "q1 Q0 d2 2 1 t\n", block=1 if split else None)
+        assert taken == [True] + [True, True, False] * split + [False] * (not split)
+        assert got.vocabulary == ("d1", "d2")
+
+    def test_reader_warning_goes_to_the_line_loop(self):
+        """As when an older numpy only warns that it read an integer
+        through a float: the block is read again by the loop, and the
+        warning never reaches the caller."""
+        loadtxt = np.loadtxt
+
+        def warn_then_read(*args, **kwargs):
+            warnings.warn("parsing an integer via a float", DeprecationWarning)
+            return loadtxt(*args, **kwargs)
+
+        with (
+            mock.patch.object(np, "loadtxt", warn_then_read),
+            warnings.catch_warnings(),
+            block_reads() as taken,
+        ):
+            warnings.simplefilter("error")
+            assert_same(GOOD)
+        assert taken == [False]
+
+    @pytest.mark.parametrize("text", ["", "\n", "\n\n", " \t\n  ", GOOD, GOOD + "\n"])
+    def test_no_warning_reaches_the_caller(self, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_same(text)
+
+
 # --- property -------------------------------------------------------------------------
 
-NAMES = st.sampled_from(["q1", "q2", "d1", "d2", "dé", "日本", "s1", "sA", "\ufeffq1"])
+# Plain ASCII lines, which the block reader takes: ids shorter than, as wide
+# as and wider than its first field width, every number form that ``int``
+# and ``float`` read as numpy's reader does, "\x1f" as a blank.
+ASCII_NAMES = st.sampled_from(["q1", "q2", "d1", "d2", "s1", "sA", "d" * 16, "s" * 17, "q" * 40])
+ASCII_RANKS = st.one_of(
+    st.integers(-3, 6), st.integers(-(2**63), 2**63 - 1)
+).map(str) | st.sampled_from(["+2", "-0", "007"])
+ASCII_SCORES = st.one_of(
+    st.floats().map(repr),
+    st.integers(-5, 5).map(str),
+    st.sampled_from(["inf", "-0.0", "1e3", "nan", "-nan", "1e-400", "+5", "1E+05", "-Infinity"]),
+)
+ASCII_BLANK = st.sampled_from([" ", "\t", "  ", " \t", "\x1f"])
+ASCII_NEWLINES = st.sampled_from(["\n", "\r\n"])
+
+# Anything else: the line loop's inputs, and characters the block reader
+# must leave to it.
+NAMES = ASCII_NAMES | st.sampled_from(["dé", "日本", "\ufeffq1", "d\x00", "\x00"])
 RANKS = st.one_of(
     st.integers(-3, 6),
     st.integers(2**63 - 2, 2**64 + 2),
     st.integers(-(2**64), -(2**63) + 1),
-).map(str) | st.sampled_from(["x", "1.5", "+2", "1_0"])
-SCORES = st.one_of(
-    st.floats(allow_nan=False).map(repr),
-    st.integers(-5, 5).map(str),
-    st.sampled_from(["inf", "-0.0", "1e3", "high", "1_0.5"]),
-)
-BLANK = st.sampled_from([" ", "\t", "  ", " \t", "\xa0"])
+).map(str) | st.sampled_from(["x", "1.5", "+2", "1_0", "1\x00"])
+SCORES = ASCII_SCORES | st.sampled_from(["high", "1_0.5", "1.5j", "0x10", "nan(1)"])
+BLANK = ASCII_BLANK | st.sampled_from(["\xa0", "\x0b", "\x1d", "\x1e", "\x00 "])
 NEWLINES = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r", "\x0c", "\x1c", "\x85", "\u2028"])
 
 
 @st.composite
-def run_lines(draw):
-    kind = draw(st.sampled_from(["entry"] * 8 + ["blank", "short", "long"]))
+def run_lines(draw, clean):
+    names, ranks, scores, blank = (
+        (ASCII_NAMES, ASCII_RANKS, ASCII_SCORES, ASCII_BLANK) if clean
+        else (NAMES, RANKS, SCORES, BLANK)
+    )
+    kind = "entry" if clean else draw(
+        st.sampled_from(["entry"] * 8 + ["blank", "short", "long", "form feed"])
+    )
     if kind == "blank":
-        return draw(st.sampled_from(["", " ", "\t \t"]))
-    fields = [draw(NAMES), "Q0", draw(NAMES), draw(RANKS), draw(SCORES), draw(NAMES)]
+        return draw(st.sampled_from(["", " ", "\t \t", "\x1f", " \x1e "]))
+    if kind == "form feed":  # one row to numpy's reader, two lines to splitlines
+        return "q1 Q0 d1 1 1\x0cs1"
+    fields = [draw(names), "Q0", draw(names), draw(ranks), draw(scores), draw(names)]
     if kind == "short":
         fields = fields[: draw(st.integers(1, 5))]
     elif kind == "long":
-        fields.append(draw(NAMES))
+        fields.append(draw(names))
     text = fields[0]
     for field in fields[1:]:
-        text += draw(BLANK) + field
+        text += draw(blank) + field
     return draw(st.sampled_from(["", " "])) + text + draw(st.sampled_from(["", "\t"]))
 
 
 @st.composite
-def run_texts(draw):
-    lines = draw(st.lists(run_lines(), max_size=25))
-    text = "".join(line + draw(NEWLINES) for line in lines)
+def run_texts(draw, clean):
+    """A run text, and whether all its lines are plain ASCII entries (as
+    the strategy ``clean`` draws)."""
+    clean = draw(clean)
+    lines = draw(st.lists(run_lines(clean), max_size=25))
+    newlines = ASCII_NEWLINES if clean else NEWLINES
+    text = "".join(line + draw(newlines) for line in lines)
     if lines and draw(st.booleans()):
         text = text.rstrip("\n")
-    return text
+    return text, clean
 
 
 @settings(max_examples=400, deadline=None)
 @given(
-    run_texts(),
+    run_texts(clean=st.sampled_from([True, True, True, False])),
     st.sampled_from(["str", "bytes", "binary file", "text file", "universal-newline file"]),
     st.sampled_from([1, 2, 3, 8, 64, None]),
 )
-def test_matches_line_by_line_oracle(text, kind, block):
-    assert_same(text, kind, block)
+def test_matches_line_by_line_oracle(run, kind, block):
+    text, clean = run
+    assert_same(text, kind, block, fast=clean)
 
 
 # --- parallel scan of byte ranges -------------------------------------------------------
@@ -338,7 +572,10 @@ def assert_parts_same(path, parts, mode="text"):
     oracle: the same stored columns, or the same (type, line, message)."""
     data = path.read_bytes()
     want, want_error = outcome(parse_run, data)
-    assert (want, want_error) == outcome(oracle_parse_run, data)
+    oracle, oracle_error = outcome(oracle_parse_run, data)
+    assert want_error == oracle_error
+    if want is not None:
+        assert layout(want) == layout(oracle)
     (got, got_error), cuts = parse_in_parts(path, parts, mode)
     assert all(data[cut - 1 : cut] == b"\n" for cut in cuts[1:-1])
     assert got_error == want_error
@@ -409,6 +646,25 @@ class TestParallelScan:
         assert all(run_path.read_bytes()[cut:].startswith("\ufeff".encode()) for cut in cuts[1:-1])
         assert sorted(got.all_queries) == ["q0", "\ufeffq0", "\ufeffq1"]
 
+    @pytest.mark.parametrize("mode", ["text", "binary"])
+    def test_fallback_blocks_in_every_part(self, run_path, mode):
+        """Blocks of about two lines, the seventh line of every ten
+        non-ASCII: every part starts with the block reader and ends with the
+        line loop, which finds again the docs the reader coded."""
+        lines = [
+            f"q{i % 2} Q{'é' if i % 10 == 6 else '0'} d{i % 5} {i:02} {i % 7}.5 s{i // 10}\n"
+            for i in range(40)
+        ]
+        run_path.write_text("".join(lines), encoding="utf-8")
+        with mock.patch.object(ingest, "_BLOCK", 48):
+            got, _, cuts = assert_parts_same(run_path, 4, mode)
+        assert len(cuts) == 5
+        assert len(got) == 8 and got.vocabulary == ("d0", "d1", "d2", "d3", "d4")
+        with open(run_path, "rb") as fh, mock.patch.object(ingest, "_BLOCK", 48):
+            for start, stop in zip(cuts, cuts[1:]):  # each part, as its process scans it
+                with block_reads() as taken:
+                    ingest._scan_run(ingest._range_chunks(fh.fileno(), start, stop), start == 0)
+                assert taken[0] and not taken[-1]
 
     @pytest.mark.parametrize(
         "failure",
@@ -533,8 +789,11 @@ class TestParallelScanFaults:
 
 
 @settings(max_examples=150, deadline=None)
-@given(run_texts(), st.sampled_from([2, 3, 4]), st.sampled_from(["text", "binary"]))
-def test_parts_match_one_part_parse(tmp_path_factory, text, parts, mode):
+@given(
+    run_texts(clean=st.just(False)), st.sampled_from([2, 3, 4]), st.sampled_from(["text", "binary"])
+)
+def test_parts_match_one_part_parse(tmp_path_factory, run, parts, mode):
+    text, _ = run
     path = tmp_path_factory.getbasetemp() / "parts.txt"
     path.write_text(text, encoding="utf-8")
     assert_parts_same(path, parts, mode)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 from typing import Mapping
 
@@ -570,6 +571,24 @@ class TestAgreement:
         values = [[8e307, 8e307, 1.0], [1e308, -1e308, 1e308], [0.1, 0.2, 0.3]]
         got = self.table(values).means()[0].tolist()
         assert [m.hex() for m in got] == [(math.fsum(row) / 3).hex() for row in values]
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            [1e308, 1e308, -1e308],
+            [-1e308, -1e308, 1e308, 0.5],
+            [1e308, 1e308, -1e308, -1e308, 3e-310],  # subnormal bits a prescaled sum drops
+            [1.7e308, 1.7e308, -1.7e308, 2.0**-1074, -(2.0**-1074)],
+        ],
+    )
+    def test_partial_sums_that_overflow_when_the_sum_fits(self, row):
+        with pytest.raises(OverflowError):
+            math.fsum(row)
+        values = [row, [0.1] * len(row), [0.2] * len(row)]
+        got = self.table(values).means()[0].tolist()
+        exact = float(sum(map(Fraction, row))) / len(row)
+        assert got[0].hex() == exact.hex()
+        assert got[1:] == [math.fsum(values[1]) / len(row), math.fsum(values[2]) / len(row)]
 
     def test_no_queries_no_rows(self):
         empty = self.table(np.zeros((1, 3, 0)))
