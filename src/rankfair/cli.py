@@ -10,11 +10,12 @@ reports as they were.
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import os
 from contextlib import contextmanager, suppress
-from functools import wraps
+from functools import cache, wraps
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import IO, Iterator, Mapping, get_type_hints
@@ -22,7 +23,7 @@ from typing import IO, Iterator, Mapping, get_type_hints
 import click
 
 from .core import GroupScheme, MissingPolicy, Qrels, RunSet
-from .errors import ConfigError, InvalidPatience, RankfairError
+from .errors import ConfigError, InvalidPatience, OutputError, RankfairError
 from .exposure import DEFAULT_ATTENTION, AttentionModel, ExposureVector
 from .ingest import (
     SamplePlan,
@@ -58,15 +59,6 @@ from .stats import (
     correlation_to_csv,
     correlation_to_json,
 )
-
-#: The values a setting with a fixed set of choices may take; the config
-#: loader and each flag's ``click.Choice`` both read these.
-_ANNOTATION_FORMATS = ("tsv", "jsonl")
-_DIVERGENCES = ("kl", "js")
-_TARGET_MODES = ("binary", "graded")
-_FALLBACKS = ("uniform", "all-unknown", "reject")
-_CONFUSION_STYLES = ("uniform", "biased")
-
 
 @contextmanager
 def _config_errors(name: str) -> Iterator[None]:
@@ -166,7 +158,7 @@ class SweepConfig:
     levels: tuple[float, ...] = (0.25, 0.4, 0.55, 0.7, 0.8, 0.9, 1.0)
     trials: int = _setting(5, minimum=1)
     workers: int = _setting(1, minimum=1)
-    style: str = _setting("uniform", choices=_CONFUSION_STYLES)
+    style: str = _setting("uniform", choices=("uniform", "biased"))
 
 
 @dataclass(frozen=True)
@@ -179,14 +171,14 @@ class ExperimentConfig:
     qrels: str | None = None
     annotations: str | None = None
     annotations_b: str | None = None
-    annotation_format: str = _setting("tsv", choices=_ANNOTATION_FORMATS)
+    annotation_format: str = _setting("tsv", choices=("tsv", "jsonl"))
     eval_schemes: tuple[str, ...] = ()
-    divergence: str = _setting("js", choices=_DIVERGENCES)
+    divergence: str = _setting("js", choices=("kl", "js"))
     attention: AttentionModel = DEFAULT_ATTENTION
     epsilon: float = 1e-10
     target: str = "qrels"  # "qrels" | "uniform" | path to a target file
-    target_mode: str = _setting("binary", choices=_TARGET_MODES)
-    fallback: str = _setting("uniform", choices=_FALLBACKS)
+    target_mode: str = _setting("binary", choices=("binary", "graded"))
+    fallback: str = _setting("uniform", choices=("uniform", "all-unknown", "reject"))
     complement: bool = False
     exclude_unknown: bool = False
     exclude_missing: bool = False
@@ -202,18 +194,44 @@ _SECTIONS = {"attention": AttentionModel, "sweep": SweepConfig, "testbed": Testb
 #: field -> config key, for the fields whose key is not their name
 _RENAMED = {"n_queries": "queries", "n_groups": "groups", "n_systems": "systems"}
 
-#: flag -> the config key it sets
-_FLAG_KEYS = {
-    "--seed": "seed", "--out": "out", "--runs": "runs", "--qrels": "qrels",
-    "--annotations": "annotations", "--annotations-b": "annotations_b", "--scheme": "eval_schemes",
-    "--divergence": "divergence", "--patience": "attention.patience", "--cutoff": "attention.cutoff",
-    "--target": "target", "--target-mode": "target_mode", "--fallback": "fallback",
-    "--complement": "complement", "--exclude-missing": "exclude_missing",
-    "--levels": "sweep.levels", "--trials": "sweep.trials", "--workers": "sweep.workers",
-    "--style": "sweep.style", "--queries": "testbed.queries", "--docs": "testbed.docs_per_query",
-    "--groups": "testbed.groups", "--systems": "testbed.systems", "--spread": "testbed.spread",
-    "--grade-probs": "testbed.grade_probs",
+#: the commands that score run files
+_EVAL = "evaluate compare sweep"
+#: flag -> (the config key it sets, its help text, the commands that take
+#: it), in the order ``--help`` lists them; its type and choices are those of
+#: the field its key sets
+_FLAGS = {
+    "--seed": ("seed", "Override the seed.", f"{_EVAL} sample gen-testbed"),
+    "--out": ("out", "Output directory.", f"{_EVAL} sample gen-testbed"),
+    "--complement": ("complement", "Report 1 - JS/ln2 (higher is fairer).", _EVAL),
+    "--fallback": ("fallback", None, _EVAL),
+    "--target-mode": ("target_mode", None, _EVAL),
+    "--target": ("target", "qrels, uniform, or a target file path.", _EVAL),
+    "--cutoff": ("attention.cutoff", "Attention cutoff rank.", _EVAL),
+    "--patience": ("attention.patience", "Geometric attention patience.", _EVAL),
+    "--divergence": ("divergence", None, _EVAL),
+    "--scheme": ("eval_schemes", "Evaluate only these declared schemes (repeatable).",
+                 f"{_EVAL} sample"),
+    "--annotations": ("annotations", "Annotation table.", f"{_EVAL} sample"),
+    "--qrels": ("qrels", "Qrels file.", _EVAL),
+    "--runs": ("runs", "Run file (repeatable).", _EVAL),
+    "--annotations-b": ("annotations_b", "Second annotation table.", "compare"),
+    "--exclude-missing": ("exclude_missing",
+                          "Drop queries any system failed to return from query-level rows.",
+                          "compare"),
+    "--levels": ("sweep.levels", "Comma-separated accuracy levels.", "sweep"),
+    "--trials": ("sweep.trials", "Trials per accuracy level.", "sweep"),
+    "--workers": ("sweep.workers",
+                  "Accepted for compatibility (at least 1); trials always run serially.", "sweep"),
+    "--style": ("sweep.style", "Confusion matrix error structure.", "sweep"),
+    "--queries": ("testbed.queries", None, "gen-testbed"),
+    "--docs": ("testbed.docs_per_query", "Documents per query.", "gen-testbed"),
+    "--groups": ("testbed.groups", None, "gen-testbed"),
+    "--systems": ("testbed.systems", None, "gen-testbed"),
+    "--spread": ("testbed.spread", None, "gen-testbed"),
+    "--grade-probs": ("testbed.grade_probs", "Comma-separated grade probabilities.", "gen-testbed"),
 }
+#: flag -> the config key it sets
+_FLAG_KEYS = {flag: key for flag, (key, _, _) in _FLAGS.items()}
 
 
 def _optional(convert):
@@ -228,26 +246,31 @@ _CONVERTERS = {
 }
 
 
+@cache
+def _schema(section: str) -> dict[str, tuple[str, object, Mapping]]:
+    """Config key -> (field name, type, checks) of each field of one config
+    section (the top level when ``section`` is empty)."""
+    cls = _SECTIONS.get(section, ExperimentConfig)
+    types = get_type_hints(cls)
+    return {_RENAMED.get(f.name, f.name): (f.name, types[f.name], f.metadata) for f in fields(cls)}
+
+
 def _convert(raw, section: str, set_by: Mapping[str, str]) -> dict:
     """Keyword arguments from one config section (the top level when
     ``section`` is empty), each converted by the type of the field it sets.
     An error names the flag that set the key (``set_by``), if one did."""
-    cls = _SECTIONS.get(section, ExperimentConfig)
-    table = {_RENAMED.get(f.name, f.name): f.name for f in fields(cls)}
+    schema = _schema(section)
     prefix = f"{section}." if section else ""
     if not isinstance(raw, Mapping):
         raise ConfigError(f"config key '{section}' must be an object, got {raw!r}")
-    unknown = [prefix + key for key in raw if key not in table]
+    unknown = [prefix + key for key in raw if key not in schema]
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    types = get_type_hints(cls)
-    metadata = {f.name: f.metadata for f in fields(cls)}
     kwargs = {}
     for key, value in raw.items():
         name = set_by.get(prefix + key, f"config key '{prefix}{key}'")
-        field_name = table[key]
-        value = kwargs[field_name] = _CONVERTERS[types[field_name]](value, name)
-        checks = metadata[field_name]
+        field_name, kind, checks = schema[key]
+        value = kwargs[field_name] = _CONVERTERS[kind](value, name)
         if "choices" in checks and value not in checks["choices"]:
             raise ConfigError(f"{name} must be one of {', '.join(checks['choices'])}; got {value!r}")
         if "minimum" in checks and value < checks["minimum"]:
@@ -336,9 +359,13 @@ def _load_runset(cfg: ExperimentConfig, paths: tuple[str, ...] | None = None) ->
         raise ConfigError(str(exc)) from None
 
 
-def _load_table(cfg: ExperimentConfig, path: str | None, provenance: str):
+def _check_schemes(cfg: ExperimentConfig) -> None:
     if not cfg.schemes:
         raise ConfigError("no schemes declared; add a 'schemes' list to the config")
+
+
+def _load_table(cfg: ExperimentConfig, path: str | None, provenance: str):
+    _check_schemes(cfg)
     with _input(path, "annotations") as fh:
         return parse_annotations(fh, cfg.schemes, cfg.annotation_format, provenance=provenance)
 
@@ -389,21 +416,46 @@ def _eval_scheme_names(cfg: ExperimentConfig) -> list[str]:
     return [s.name for s in cfg.schemes]
 
 
+@contextmanager
+def _output_errors(out_dir: str) -> Iterator[None]:
+    """Re-raise an ``OSError`` as an ``OutputError`` that names ``--out``."""
+    try:
+        yield
+    except OSError as exc:
+        raise OutputError(f"cannot write --out {out_dir}: {exc.strerror or exc}") from None
+
+
+def _check_out(out_dir: str) -> None:
+    """Fail before any work unless ``out_dir`` is a directory, or a path
+    whose nearest existing parent is a writable directory."""
+    path = Path(out_dir).absolute()
+    with _output_errors(out_dir):
+        nearest = next(p for p in (path, *path.parents) if p.exists())
+        if not nearest.is_dir():
+            code = errno.EEXIST if nearest == path else errno.ENOTDIR
+        elif not os.access(nearest, os.W_OK | os.X_OK):
+            code = errno.EACCES
+        else:
+            return
+        raise OSError(code, os.strerror(code))
+
+
 def _write_outputs(out_dir: str, files: Mapping[str, str]) -> None:
     """Write every file to a temporary file in ``out_dir``, then move each
     into place, so that a failure leaves the previous outputs as they were
     and no temporary file behind."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    staged = {out / f".{name}.{os.getpid()}.tmp": out / name for name in files}
-    try:
-        for tmp, content in zip(staged, files.values()):
-            tmp.write_text(content, encoding="utf-8")
-        for tmp, path in staged.items():
-            os.replace(tmp, path)
-    finally:
-        for tmp in staged:
-            tmp.unlink(missing_ok=True)
+    with _output_errors(out_dir):
+        out.mkdir(parents=True, exist_ok=True)
+        staged = {out / f".{name}.{os.getpid()}.tmp": out / name for name in files}
+        try:
+            for tmp, content in zip(staged, files.values()):
+                tmp.write_text(content, encoding="utf-8")
+            for tmp, path in staged.items():
+                os.replace(tmp, path)
+        finally:
+            for tmp in staged:
+                tmp.unlink(missing_ok=True)
 
 
 def _guarded(command):
@@ -424,56 +476,52 @@ def main():
     """Group-fairness evaluation of ranked retrieval runs."""
 
 
-_config_option = click.option(
-    "--config", "config_path", default=None, help="Path to a JSON experiment config."
-)
-_seed_option = click.option("--seed", type=int, default=None, help="Override the seed.")
-_out_option = click.option("--out", default=None, help="Output directory.")
-
-
 def _comma_list(ctx, param, value):
     """A comma-separated flag value as the list its config key holds."""
     return None if value is None else value.split(",")
 
 
-def _eval_options(fn):
-    for option in (
-        click.option("--runs", multiple=True, help="Run file (repeatable)."),
-        click.option("--qrels", default=None, help="Qrels file."),
-        click.option("--annotations", default=None, help="Annotation table."),
-        click.option(
-            "--scheme", "eval_schemes", multiple=True,
-            help="Evaluate only these declared schemes (repeatable).",
-        ),
-        click.option("--divergence", type=click.Choice(_DIVERGENCES), default=None),
-        click.option("--patience", type=float, default=None, help="Geometric attention patience."),
-        click.option("--cutoff", type=int, default=None, help="Attention cutoff rank."),
-        click.option("--target", default=None, help="qrels, uniform, or a target file path."),
-        click.option("--target-mode", type=click.Choice(_TARGET_MODES), default=None),
-        click.option("--fallback", type=click.Choice(_FALLBACKS), default=None),
-        click.option("--complement", is_flag=True, default=False,
-                     help="Report 1 - JS/ln2 (higher is fairer)."),
-    ):
-        fn = option(fn)
-    return fn
+#: field type -> how the flag that sets it reads its value
+_FLAG_FORMS = {
+    bool: {"is_flag": True}, int: {"type": int}, int | None: {"type": int}, float: {"type": float},
+    tuple[str, ...]: {"multiple": True}, tuple[float, ...]: {"callback": _comma_list},
+}
+
+
+def _config_command(command):
+    """``command`` as a command of ``main`` that takes ``--config``, then the
+    flags that ``_FLAGS`` gives it, then its own options; a ``RankfairError``
+    is one error line."""
+    name = command.__name__.replace("_", "-")
+    command = _guarded(command)
+    # click lists the option added last first
+    for flag, (key, text, commands) in reversed(_FLAGS.items()):
+        if name in commands.split():
+            section, _, sub = key.rpartition(".")
+            _, kind, checks = _schema(section)[sub]
+            form = _FLAG_FORMS.get(kind, {})
+            if "choices" in checks:
+                form = {"type": click.Choice(checks["choices"])}
+            command = click.option(flag, help=text, **form)(command)
+    config = click.option("--config", "config_path", help="Path to a JSON experiment config.")
+    return main.command(name)(config(command))
 
 
 def _effective_config(flag_keys: Mapping[str, str] = _FLAG_KEYS) -> ExperimentConfig:
-    """The running command's config file with its flags set over it."""
+    """The running command's config file with its flags set over it, once
+    its ``--out`` is known to be writable."""
     ctx = click.get_current_context()
     flags = {p.opts[0]: ctx.params[p.name] for p in ctx.command.params if p.opts[0] in flag_keys}
-    return load_config(ctx.params["config_path"], flags, flag_keys)
+    cfg = load_config(ctx.params["config_path"], flags, flag_keys)
+    _check_out(cfg.out)
+    return cfg
 
 
-@main.command()
-@_config_option
-@_seed_option
-@_out_option
-@_eval_options
-@_guarded
+@_config_command
 def evaluate(**_):
     """Score every system's rankings against the target exposure."""
     cfg = _effective_config()
+    _check_schemes(cfg)
     runset = _load_runset(cfg)
     table = _load_table(cfg, cfg.annotations, "human")
     qrels = _load_qrels_if_needed(cfg)
@@ -489,18 +537,11 @@ def evaluate(**_):
     click.echo(f"evaluated {len(scores.systems)} systems -> {cfg.out}")
 
 
-@main.command()
-@_config_option
-@_seed_option
-@_out_option
-@_eval_options
-@click.option("--annotations-b", default=None, help="Second annotation table.")
-@click.option("--exclude-missing", is_flag=True, default=False,
-              help="Drop queries any system failed to return from query-level rows.")
-@_guarded
+@_config_command
 def compare(**_):
     """Correlate metrics computed under two annotation sources."""
     cfg = _effective_config()
+    _check_schemes(cfg)
     runset = _load_runset(cfg)
     runset_b = _load_runset(cfg, cfg.runs_b) if cfg.runs_b else runset
     table_a = _load_table(cfg, cfg.annotations, "human")
@@ -524,19 +565,7 @@ def compare(**_):
     click.echo(f"compared {len(scores_a.systems)} systems -> {cfg.out}")
 
 
-@main.command()
-@_config_option
-@_seed_option
-@_out_option
-@_eval_options
-@click.option("--levels", default=None, callback=_comma_list,
-              help="Comma-separated accuracy levels.")
-@click.option("--trials", type=int, default=None, help="Trials per accuracy level.")
-@click.option("--workers", type=int, default=None,
-              help="Accepted for compatibility (at least 1); trials always run serially.")
-@click.option("--style", type=click.Choice(_CONFUSION_STYLES), default=None,
-              help="Confusion matrix error structure.")
-@_guarded
+@_config_command
 def sweep(**_):
     """Sweep annotation accuracy and correlate degraded vs. true metrics.
 
@@ -550,6 +579,7 @@ def sweep(**_):
         raise ConfigError(f"sweep got {given} but no {missing} file; pass --{missing} (config key "
                           f"'{missing}'), or neither to sweep the synthetic testbed")
     if cfg.runs:
+        _check_schemes(cfg)
         runset = _load_runset(cfg)
         table = _load_table(cfg, cfg.annotations, "human")
         qrels = _load_qrels_if_needed(cfg)
@@ -585,17 +615,11 @@ def sweep(**_):
     )
 
 
-@main.command()
-@_config_option
-@_seed_option
-@_out_option
-@click.option("--annotations", default=None, help="Annotation table.")
-@click.option("--scheme", default=None, help="Scheme to stratify on.")
+@_config_command
 @click.option("--train", "train_n", type=int, default=500, show_default=True,
               help="Training documents per group.")
 @click.option("--test", "test_n", type=int, default=100, show_default=True,
               help="Testing documents per group.")
-@_guarded
 def sample(train_n, test_n, **_):
     """Draw disjoint train/test document samples, equally sized per group."""
     cfg = _effective_config()
@@ -616,18 +640,7 @@ def sample(train_n, test_n, **_):
     click.echo(f"sampled {len(train)} train / {len(test)} test ids -> {cfg.out}")
 
 
-@main.command("gen-testbed")
-@_config_option
-@_seed_option
-@_out_option
-@click.option("--queries", type=int, default=None)
-@click.option("--docs", type=int, default=None, help="Documents per query.")
-@click.option("--groups", type=int, default=None)
-@click.option("--systems", type=int, default=None)
-@click.option("--spread", type=float, default=None)
-@click.option("--grade-probs", default=None, callback=_comma_list,
-              help="Comma-separated grade probabilities.")
-@_guarded
+@_config_command
 def gen_testbed(**_):
     """Generate a synthetic testbed and write its annotation/qrels/run files."""
     # here --seed seeds the testbed, whatever its config section says

@@ -108,6 +108,10 @@ class ConfigError(RankfairError):
     """Invalid or inconsistent evaluation configuration."""
 
 
+class OutputError(RankfairError, OSError):
+    """The output directory cannot be created or written."""
+
+
 # --- simulation ----------------------------------------------------------------
 
 

@@ -326,16 +326,18 @@ def _code_docs(column: np.ndarray, docs: dict[str, int], seen: list) -> np.ndarr
     order = np.argsort(first)  # first appearance
     unique_codes[new[order]] = np.arange(len(docs), len(docs) + len(new))
     codes = unique_codes[inverse]
-    ids = np.concatenate((ids, column[fresh[first[order]]]))
+    if len(new):
+        ids = np.concatenate((ids, column[fresh[first[order]]]))
     if not np.array_equal(ids[codes], column):
         return None
-    docs.update(zip(map(bytes.decode, ids[len(docs):].tolist()), range(len(docs), len(ids))))
-    added = ~known
-    seen[:] = (
-        np.insert(hashes, at[added], unique[added]),
-        np.insert(hash_codes, at[added], unique_codes[added]),
-        ids,
-    )
+    if len(new):  # the table is copied only when a block adds an id
+        docs.update(zip(map(bytes.decode, ids[len(docs):].tolist()), range(len(docs), len(ids))))
+        added = ~known
+        seen[:] = (
+            np.insert(hashes, at[added], unique[added]),
+            np.insert(hash_codes, at[added], unique_codes[added]),
+            ids,
+        )
     return codes
 
 

@@ -422,6 +422,18 @@ def _reject_first_missing(evaluations: Sequence[CompiledEvaluation]) -> None:
         raise MissingDocument(f"doc {doc!r} has no membership for scheme {scheme.name!r}")
 
 
+def _shared_docs(table: GroupMembershipTable, names: Sequence[str]) -> GroupMembershipTable:
+    """The schemes ``names`` of ``table``, each over only the documents that
+    every one of them annotates."""
+    columns = {name: table.columns(name) for name in names}
+    shared = set.intersection(*(set(ids) for ids, _ in columns.values()))
+    kept = {}
+    for name, (ids, rows) in columns.items():
+        keep = [i for i, doc in enumerate(ids) if doc in shared]
+        kept[name] = ([ids[i] for i in keep], rows[keep])
+    return GroupMembershipTable.from_columns(map(table.scheme, columns), kept, table.provenance)
+
+
 def score_runset(
     runset: RunSet,
     qrels: Qrels | None,
@@ -443,7 +455,12 @@ def score_runset(
     for name in schemes:
         work.append((f"awrf:{name}", table, table.scheme(name)))
     if len(schemes) >= 2 and config.include_overall:
-        overall = intersect_tables(table, list(schemes), fallback=config.fallback)
+        # under reject, a document that a scheme lacks is missing from the
+        # intersection too, so it raises only where it is read, and then for
+        # a scheme that lacks it, which the query-by-query pass meets first
+        reject = config.fallback is MissingPolicy.REJECT
+        shared = _shared_docs(table, schemes) if reject else table
+        overall = intersect_tables(shared, list(schemes), fallback=config.fallback)
         work.append(("awrf:overall", overall, overall.scheme("overall")))
     evaluations = [CompiledEvaluation(runset, qrels, tbl, scheme, config) for _, tbl, scheme in work]
     if config.fallback is MissingPolicy.REJECT:

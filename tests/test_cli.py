@@ -1,11 +1,13 @@
 import hashlib
 import json
 import os
+import re
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from rankfair import cli
 from rankfair.cli import _FLAG_KEYS, _write_outputs, load_config, main
 from rankfair.ingest import parse_annotations, parse_qrels, parse_run
 from rankfair.core import GroupScheme
@@ -305,6 +307,17 @@ class TestSample:
         assert not (tmp_path / "out").exists()
         assert invoke(*args, "--scheme", "pair").exit_code == 0
 
+    def test_a_repeated_scheme_is_an_error(self, tmp_path):
+        cpath = self._annotations(tmp_path)
+        config = json.loads(cpath.read_text())
+        config["schemes"].append({"name": "other", "groups": ["a", "b"]})
+        cpath.write_text(json.dumps(config))
+        args = ["sample", "--config", str(cpath), "--train", "10", "--test", "5"]
+        result = CliRunner().invoke(main, [*args, "--scheme", "other", "--scheme", "pair"])
+        assert result.exit_code == 1
+        assert "ConfigError: pass --scheme to pick the sampling scheme" in result.output
+        assert not (tmp_path / "out").exists()
+
     def test_insufficient_documents(self, tmp_path):
         cpath = self._annotations(tmp_path, per_group=3)
         runner = CliRunner()
@@ -456,6 +469,52 @@ class TestAtomicOutputs:
         result = CliRunner().invoke(main, ["evaluate", "--config", str(config_path)])
         assert result.exit_code == 1
         assert {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()} == before
+
+
+class TestCheckBeforeWork:
+    """A config without schemes, or an --out that cannot be a directory,
+    fails with one named error line before any input is read."""
+
+    @pytest.fixture
+    def spied(self, workspace, monkeypatch):
+        calls = []
+        for name in ("parse_run", "parse_annotations", "parse_qrels", "generate_testbed"):
+            monkeypatch.setattr(cli, name, lambda *args, name=name, **kwargs: calls.append(name))
+        return workspace, calls
+
+    def fails(self, args, error):
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 1
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"Error: {error}"), result.output
+        assert "Traceback" not in result.output
+        return lines[0]
+
+    @pytest.mark.parametrize("command", ["evaluate", "compare", "sweep"])
+    def test_no_schemes(self, spied, command):
+        (tmp_path, _, config), calls = spied
+        del config["schemes"]
+        path = write_config(tmp_path, config, "bare.json")
+        self.fails([command, "--config", path], "ConfigError: no schemes declared")
+        assert calls == [] and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "compare", "sweep", "sample", "gen-testbed"])
+    @pytest.mark.parametrize("out,reason", [("afile", "File exists"), ("afile/x", "Not a directory")])
+    def test_out_that_cannot_be_a_directory(self, spied, command, out, reason):
+        (tmp_path, config_path, _), calls = spied
+        (tmp_path / "afile").write_text("kept\n")
+        target = str(tmp_path / out)
+        line = self.fails([command, "--config", str(config_path), "--out", target], "OutputError: ")
+        assert line.endswith(f"cannot write --out {target}: {reason}")
+        assert calls == [] and (tmp_path / "afile").read_text() == "kept\n"
+
+    def test_write_error_names_out(self, tmp_path):
+        from rankfair.errors import OutputError
+
+        (tmp_path / "afile").write_text("kept\n")
+        with pytest.raises(OutputError, match=f"^cannot write --out {tmp_path / 'afile'}: File exists$"):
+            _write_outputs(str(tmp_path / "afile"), {"a.csv": "a\n"})
+        assert (tmp_path / "afile").read_text() == "kept\n"
 
 
 class TestCost:
@@ -616,6 +675,22 @@ def test_every_option_of_a_config_command_is_in_the_flag_table():
     for command in ("evaluate", "compare", "sweep", "sample", "gen-testbed"):
         for param in main.commands[command].params:
             assert param.name in own or param.opts[0] in _FLAG_KEYS, (command, param.opts)
+
+
+def test_readme_config_table_names_the_flag_of_each_key():
+    from rankfair.cli import _FLAGS
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    flags = {}
+    for line in readme.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if line.startswith("| `") and len(cells) == 5:
+            named = re.match(r"`(--[a-z-]+)`", cells[4])
+            flags[cells[0].strip("`")] = named and named.group(1)
+    assert "testbed.seed" in flags and "`gen-testbed` only" in readme
+    want = {key: flag for flag, (key, _, _) in _FLAGS.items()}
+    want["testbed.seed"] = "--seed"  # gen-testbed's --seed
+    assert {key: flag for key, flag in flags.items() if flag} == want
 
 
 class TestSeedRules:

@@ -124,7 +124,15 @@ def oracle_evaluate(runset, qrels, table, schemes, config):
     every target first, then system by system, query by query."""
     work = [(f"awrf:{n}", table, table.scheme(n)) for n in schemes]
     if len(schemes) >= 2 and config.include_overall:
-        overall = intersect_tables(table, list(schemes), fallback=config.fallback)
+        source = table
+        if config.fallback is MissingPolicy.REJECT:
+            # a document that a scheme lacks is missing from the intersection
+            shared = set.intersection(*(set(table.docs(n)) for n in schemes))
+            source = GroupMembershipTable(
+                [table.scheme(n) for n in schemes],
+                {n: {d: v for d, v in table.docs(n).items() if d in shared} for n in schemes},
+            )
+        overall = intersect_tables(source, list(schemes), fallback=config.fallback)
         work.append(("awrf:overall", overall, overall.scheme("overall")))
     if config.target.startswith("qrels"):
         queries = [q for q in qrels.queries if qrels.relevant(q)]
@@ -355,6 +363,36 @@ def test_reject_names_the_doc_a_query_by_query_pass_meets_first():
     want = outcome(oracle_evaluate, runset, qrels, table, ["a", "b"], config)
     assert want == "MissingDocument: doc 'd0' has no membership for scheme 'b'"
     assert outcome(evaluate_runset, runset, qrels, table, ["a", "b"], config) == want
+
+
+def reject_with_intersection(ranked, include_overall, fallback=MissingPolicy.REJECT):
+    """Scores of two schemes where 'b' lacks d0 and d1, which nothing reads
+    unless ``ranked`` does, or the MissingDocument message."""
+    a, b = scheme_of("a", 2), scheme_of("b", 2)
+    table = GroupMembershipTable(
+        [a, b],
+        {"a": {d: one_hot(a, i % 2) for i, d in enumerate(["d0", "d1", "d2", "d3"])},
+         "b": {"d2": one_hot(b, 0), "d3": one_hot(b, 1)}},
+    )
+    runset = RunSet([Ranking("q0", tuple((d, 9.0 - i) for i, d in enumerate(ranked)), "s0"),
+                     Ranking("q0", (("d3", 2.0), ("d2", 1.0)), "s1")])
+    qrels = Qrels({"q0": {"d2": 1, "d3": 1}})
+    config = MetricConfig(fallback=fallback, include_overall=include_overall)
+    return outcome(metrics.score_runset, runset, qrels, table, ["a", "b"], config)
+
+
+def test_reject_ignores_a_document_that_nothing_reads():
+    got = reject_with_intersection(["d2", "d3"], include_overall=True)
+    want = reject_with_intersection(["d2", "d3"], True, fallback=MissingPolicy.UNIFORM)
+    assert got.metrics == want.metrics == ("awrf:a", "awrf:b", "awrf:overall")
+    assert got.values.tobytes() == want.values.tobytes()
+
+
+def test_reject_with_the_intersection_names_what_it_names_without():
+    want = "MissingDocument: doc 'd1' has no membership for scheme 'b'"
+    for ranked in (["d2", "d1", "d3"], ["d1"]):
+        assert reject_with_intersection(ranked, include_overall=False) == want
+        assert reject_with_intersection(ranked, include_overall=True) == want
 
 
 def test_parsed_run_set_scores_as_the_built_one():

@@ -422,6 +422,19 @@ class TestBlockReader:
         assert taken == [True] + [True, True, False] * split + [False] * (not split)
         assert got.vocabulary == ("d1", "d2")
 
+    def test_a_block_of_known_ids_leaves_the_table_as_it_is(self):
+        """A block that adds no id is coded without copying the hash table;
+        one that adds an id extends it."""
+        width = f"S{ingest._WIDTH}"
+        docs, seen = {}, [np.empty(0, np.uint64), np.empty(0, np.int64), np.empty(0, width)]
+        code = lambda ids: ingest._code_docs(np.array(ids, width), docs, seen).tolist()
+        assert code([b"d1", b"d2", b"d1"]) == [0, 1, 0]
+        table = list(seen)
+        assert code([b"d2", b"d1", b"d2"]) == [1, 0, 1]
+        assert all(now is then for now, then in zip(seen, table))
+        assert code([b"d3", b"d1"]) == [2, 0] and docs == {"d1": 0, "d2": 1, "d3": 2}
+        assert seen[2].tolist() == [b"d1", b"d2", b"d3"]
+
     def test_reader_warning_goes_to_the_line_loop(self):
         """As when an older numpy only warns that it read an integer
         through a float: the block is read again by the loop, and the

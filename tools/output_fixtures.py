@@ -24,7 +24,9 @@ two-scheme soft fixture as JSONL and TSV. Outputs, one directory each under
 on the other fixtures, ``compare`` with two flag sets, with
 ``--exclude-missing`` on the copy, with the copy as ``runs_b`` and on
 criterion 9's fixture, ``sweep`` from files, from criterion 9's config with
-1 and 4 workers and on a synthetic testbed, and ``sample``.
+1 and 4 workers and on a synthetic testbed, and ``sample``. Each command's
+``--help`` goes to ``help/<command>.txt``, so that a changed flag or help
+text shows too.
 ``--small`` uses a 5 x 100 x 3 x 30 testbed instead of the default one.
 """
 
@@ -40,6 +42,7 @@ from pathlib import Path
 import numpy as np
 
 import rankfair
+from rankfair.cli import main as rankfair_cli
 
 SMALL = ["--queries", "5", "--docs", "100", "--groups", "3", "--systems", "30"]
 
@@ -198,6 +201,14 @@ def main(argv=None) -> int:
     report("soft-evaluate-tsv", "evaluate", "--config", "soft/config_tsv.json")
     report("soft-evaluate-all-unknown", "evaluate", "--config", "soft/config.json",
            "--scheme", "tone", "--fallback", "all-unknown", "--target", "uniform")
+
+    (root / "help").mkdir(exist_ok=True)
+    for command in sorted(rankfair_cli.commands):
+        with open(root / "help" / f"{command}.txt", "w", encoding="utf-8") as fh:
+            # help is wrapped to the terminal's width, which COLUMNS sets
+            subprocess.run([sys.executable, "-m", "rankfair.cli", command, "--help"], cwd=root,
+                           env={**env, "COLUMNS": "80"}, check=True, stdout=fh)
+        print(f"help/{command}.txt")
     return 0
 
 
