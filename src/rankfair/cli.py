@@ -43,6 +43,7 @@ from .metrics import (
     score_runset,
 )
 from .simulate import (
+    MIN_DRAWS,
     Testbed,
     TestbedConfig,
     accuracy_sweep,
@@ -221,7 +222,9 @@ _FLAGS = {
     "--levels": ("sweep.levels", "Comma-separated accuracy levels.", "sweep"),
     "--trials": ("sweep.trials", "Trials per accuracy level.", "sweep"),
     "--workers": ("sweep.workers",
-                  "Accepted for compatibility (at least 1); trials always run serially.", "sweep"),
+                  "Accepted for compatibility (at least 1); a sweep of at least "
+                  f"{MIN_DRAWS} draws (cells x documents) hashes them in a forked "
+                  "producer on a second CPU.", "sweep"),
     "--style": ("sweep.style", "Confusion matrix error structure.", "sweep"),
     "--queries": ("testbed.queries", None, "gen-testbed"),
     "--docs": ("testbed.docs_per_query", "Documents per query.", "gen-testbed"),
@@ -624,8 +627,11 @@ def sample(train_n, test_n, **_):
     """Draw disjoint train/test document samples, equally sized per group."""
     cfg = _effective_config()
     names = _eval_scheme_names(cfg)
-    if len(names) != 1:
-        raise ConfigError("pass --scheme to pick the sampling scheme")
+    if not names:
+        raise ConfigError("sample takes exactly one scheme and none was given; pass --scheme")
+    if len(names) > 1:
+        raise ConfigError(f"sample takes exactly one scheme, got {len(names)}: "
+                          f"{', '.join(names)}; pass --scheme once")
     with _config_errors("--train or --test"):
         plan = SamplePlan(names[0], train_n, test_n, seed=cfg.seed)
     table = _load_table(cfg, cfg.annotations, "human")

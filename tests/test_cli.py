@@ -2,6 +2,8 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -216,6 +218,28 @@ class TestCompare:
         assert read_out(tmp_path, "correlation.json") == first
 
 
+def test_compare_and_sweep_leave_scipy_unloaded(workspace):
+    # scipy is a test-only dependency: no command imports it, p-values included
+    tmp_path, config_path, _ = workspace
+    sweep_config = TestSweep()._config(tmp_path)
+    commands = [["compare", "--config", str(config_path)],
+                ["sweep", "--config", str(sweep_config), "--out", str(tmp_path / "swept")]]
+    code = (
+        "import json, sys\n"
+        "from rankfair.cli import main\n"
+        "for args in json.loads(sys.argv[1]):\n"
+        "    main(args, standalone_mode=False)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run([sys.executable, "-c", code, json.dumps(commands)],
+                            capture_output=True, text=True, check=True, env=env)
+    assert result.stdout.splitlines()[-1] == "[]"
+    assert "pearson_p" in read_out(tmp_path, "correlation_system.csv")
+    assert "pearson_p" in (tmp_path / "swept" / "sweep_trials.csv").read_text()
+
+
 class TestSweep:
     def _config(self, tmp_path, workers=1):
         config = {
@@ -303,7 +327,8 @@ class TestSample:
         args = ["sample", "--config", str(cpath), "--train", "10", "--test", "5"]
         result = CliRunner().invoke(main, args)
         assert result.exit_code == 1
-        assert "ConfigError: pass --scheme to pick the sampling scheme" in result.output
+        assert ("ConfigError: sample takes exactly one scheme, got 2: pair, other; "
+                "pass --scheme once") in result.output
         assert not (tmp_path / "out").exists()
         assert invoke(*args, "--scheme", "pair").exit_code == 0
 
@@ -315,7 +340,20 @@ class TestSample:
         args = ["sample", "--config", str(cpath), "--train", "10", "--test", "5"]
         result = CliRunner().invoke(main, [*args, "--scheme", "other", "--scheme", "pair"])
         assert result.exit_code == 1
-        assert "ConfigError: pass --scheme to pick the sampling scheme" in result.output
+        assert ("ConfigError: sample takes exactly one scheme, got 2: other, pair; "
+                "pass --scheme once") in result.output
+        assert not (tmp_path / "out").exists()
+
+    def test_no_scheme_is_an_error(self, tmp_path):
+        cpath = self._annotations(tmp_path)
+        config = json.loads(cpath.read_text())
+        config["schemes"] = []
+        cpath.write_text(json.dumps(config))
+        args = ["sample", "--config", str(cpath), "--train", "10", "--test", "5"]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 1
+        assert ("ConfigError: sample takes exactly one scheme and none was given; "
+                "pass --scheme") in result.output
         assert not (tmp_path / "out").exists()
 
     def test_insufficient_documents(self, tmp_path):

@@ -152,9 +152,9 @@ class TestPearson:
 
 
 def pearson_p(r, n):
-    from rankfair.stats import _t_p_value
+    from rankfair.stats import _t_p_values
 
-    return _t_p_value(r, n)
+    return float(_t_p_values(r, n))
 
 
 def test_pearson_r_bit_identical_to_np_mean_form():
@@ -176,40 +176,96 @@ def test_pearson_r_bit_identical_to_np_mean_form():
         assert _pearson_r(x, y).hex() == with_np_mean(x, y).hex()
 
 
-def test_t_p_value_bit_identical_to_scipy_stats():
-    from scipy import stats as sp_stats
+def scipy_p(r, n):
+    """The two-sided t-test p-value from scipy's Student-t distribution, with
+    1 - r² formed as (1 - |r|)(1 + |r|): 1 - r * r loses up to 6 digits of
+    t at |r| = 0.999999, a relative 3.5e-10 of p at n = 65."""
+    from scipy.special import stdtr
 
-    from rankfair.stats import _t_p_value
+    if abs(r) >= 1.0:
+        return 0.0
+    df = n - 2
+    t = abs(r) * math.sqrt(df / ((1.0 - abs(r)) * (1.0 + abs(r))))
+    return float(min(1.0, max(0.0, 2.0 * stdtr(df, -t))))
 
+
+def assert_close_to_scipy(rs, n):
+    from rankfair.stats import _t_p_values
+
+    for r, got in zip(rs, _t_p_values(rs, n).tolist()):
+        want = scipy_p(r, n)
+        assert abs(got - want) <= 1e-12, (r, n, got, want)
+        if want >= 1e-300:
+            assert abs(got - want) <= (1e-12 if n <= 1002 else 1e-10) * want, (r, n, got, want)
+
+
+def test_t_p_values_match_scipy():
     rng = np.random.default_rng(83)
     sizes = np.concatenate([np.arange(3, 60), rng.integers(60, 50000, size=200)])
     for n in sizes.tolist():
-        for r in rng.uniform(-1.0, 1.0, size=20).tolist() + [0.0, 0.999999, -0.5]:
-            df = n - 2
-            t = abs(r) * math.sqrt(df / (1.0 - r * r))
-            want = float(min(1.0, max(0.0, 2.0 * sp_stats.t.sf(t, df))))
-            assert _t_p_value(r, n) == want, (r, n)
+        assert_close_to_scipy(rng.uniform(-1.0, 1.0, size=20).tolist() + [0.0, 0.999999, -0.5], n)
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
+@pytest.mark.parametrize("n", [3, 4, 5, 30, 31, 1002, 1003, 50000])
+def test_t_p_values_match_scipy_around_the_split_point(n):
+    # the continued fraction converges slowest next to x = (a+1)/(a+2.5),
+    # on either side of which p comes from another branch
+    a = (n - 2) / 2
+    split = (a + 1) / (a + 2.5)
+    gaps = np.geomspace(1e-12, 0.5, 40)
+    x = np.concatenate([split * (1 - gaps), split + (1 - split) * gaps])
+    assert_close_to_scipy(np.sqrt(1 - x).tolist(), n)
 
-    import rankfair
 
-    src = str(Path(rankfair.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = (
-        "import sys, rankfair.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
-    )
-    # neither scipy.stats nor scipy.special: only the p-value imports stdtr
-    assert result.stdout.strip() == "[]"
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 17, 30, 31, 64, 203, 1002, 5003, 20001, 50000])
+def test_continued_fractions_have_converged_at_their_depth(n):
+    from rankfair.stats import _BODY_DEPTH, _cf_terms, _continued_fraction, _tail_depth
+
+    a = (n - 2) / 2
+    split = (a + 1) / (a + 2.5)
+    near = 1 - np.geomspace(1e-13, 1, 80)
+    # each side of the split point, up to it, against three times its depth
+    for p, q, depth, x in ((a, 0.5, _tail_depth(a), split * near),
+                           (0.5, a, _BODY_DEPTH, (1 - split) * near)):
+        got = _continued_fraction(_cf_terms(p, q, depth), x)
+        deep = _continued_fraction(_cf_terms(p, q, 3 * depth), x)
+        np.testing.assert_allclose(got, deep, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("n", [3, 4, 30, 50000])
+def test_t_p_values_of_a_batch_are_those_of_each_value(n):
+    from rankfair.stats import _t_p_values
+
+    rs = np.random.default_rng(n).uniform(-1.0, 1.0, size=40)
+    batch = _t_p_values(rs, n)
+    assert batch.tobytes() == np.array([float(_t_p_values(r, n)) for r in rs]).tobytes()
+
+
+def test_t_p_values_closed_forms_at_one_and_two_df():
+    from rankfair.stats import _t_p_values
+
+    r = np.concatenate([np.linspace(-0.999, 0.999, 41), [1e-9, 0.5, 1 - 2**-40]])
+    # df = 1 is Cauchy: p = 2 acos|r| / pi; df = 2: p = 1 - |r|
+    for n, want in ((3, 2 * np.arccos(np.abs(r)) / math.pi), (4, 1 - np.abs(r))):
+        np.testing.assert_allclose(_t_p_values(r, n), want, rtol=1e-13, atol=0)
+
+
+def test_t_p_values_at_zero_and_beyond_one():
+    from rankfair.stats import _t_p_values
+
+    for n in (3, 4, 30, 1003, 50000):
+        assert _t_p_values([0.0, -0.0], n).tolist() == [1.0, 1.0]
+        assert _t_p_values([1.0, -1.0, 1.5, -2.0], n).tolist() == [0.0] * 4
+
+
+@pytest.mark.parametrize("n", [3, 4, 12, 30, 1002, 50000])
+def test_t_p_values_fall_as_r_grows(n):
+    from rankfair.stats import _t_p_values
+
+    r = np.linspace(0.0, 1.0, 20001)
+    p = _t_p_values(r, n)
+    assert np.all(np.diff(p) <= 0.0)
+    assert _t_p_values(-r, n).tobytes() == p.tobytes()
 
 
 class TestSpearman:
