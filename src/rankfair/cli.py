@@ -346,10 +346,7 @@ def _input(path: str | None, role: str) -> Iterator[IO[str]]:
         raise ConfigError(f"{role} file {path} is not UTF-8 text: {exc.reason}") from None
 
 
-def _load_runset(cfg: ExperimentConfig, paths: tuple[str, ...] | None = None) -> RunSet:
-    paths = cfg.runs if paths is None else paths
-    if not paths:
-        raise ConfigError("no runs file configured")
+def _load_runset(paths: tuple[str, ...]) -> RunSet:
     parts = []
     for path in paths:
         with _input(path, "runs") as fh:
@@ -360,6 +357,23 @@ def _load_runset(cfg: ExperimentConfig, paths: tuple[str, ...] | None = None) ->
         return RunSet.concat(parts)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+
+
+def _check_inputs(cfg: ExperimentConfig, pair: bool = False) -> None:
+    """Open and close each input file of a scoring command in the order the
+    command parses them, so that a missing, unreadable or unconfigured one
+    fails, with the error its parse would raise, before any parse. ``pair``
+    adds ``compare``'s second runs and annotation files."""
+    runs = (cfg.runs or (None,)) + (cfg.runs_b if pair else ())
+    annotations = (cfg.annotations, cfg.annotations_b) if pair else (cfg.annotations,)
+    files = [(path, "runs") for path in runs] + [(path, "annotations") for path in annotations]
+    if cfg.target == "qrels":
+        files.append((cfg.qrels, "qrels"))
+    elif cfg.target != "uniform":
+        files.append((cfg.target, "target"))
+    for path, role in files:
+        with _input(path, role):
+            pass
 
 
 def _check_schemes(cfg: ExperimentConfig) -> None:
@@ -525,7 +539,8 @@ def evaluate(**_):
     """Score every system's rankings against the target exposure."""
     cfg = _effective_config()
     _check_schemes(cfg)
-    runset = _load_runset(cfg)
+    _check_inputs(cfg)
+    runset = _load_runset(cfg.runs)
     table = _load_table(cfg, cfg.annotations, "human")
     qrels = _load_qrels_if_needed(cfg)
     scores = score_runset(runset, qrels, table, _eval_scheme_names(cfg), _metric_config(cfg))
@@ -545,8 +560,9 @@ def compare(**_):
     """Correlate metrics computed under two annotation sources."""
     cfg = _effective_config()
     _check_schemes(cfg)
-    runset = _load_runset(cfg)
-    runset_b = _load_runset(cfg, cfg.runs_b) if cfg.runs_b else runset
+    _check_inputs(cfg, pair=True)
+    runset = _load_runset(cfg.runs)
+    runset_b = _load_runset(cfg.runs_b) if cfg.runs_b else runset
     table_a = _load_table(cfg, cfg.annotations, "human")
     table_b = _load_table(cfg, cfg.annotations_b, "model")
     qrels = _load_qrels_if_needed(cfg)
@@ -583,15 +599,16 @@ def sweep(**_):
                           f"'{missing}'), or neither to sweep the synthetic testbed")
     if cfg.runs:
         _check_schemes(cfg)
-        runset = _load_runset(cfg)
-        table = _load_table(cfg, cfg.annotations, "human")
-        qrels = _load_qrels_if_needed(cfg)
-        if qrels is None:
-            qrels = Qrels({})
         names = _eval_scheme_names(cfg)
         if len(names) != 1:
             raise ConfigError("sweep needs exactly one scheme; pass --scheme")
         scheme_name = names[0]
+        _check_inputs(cfg)
+        runset = _load_runset(cfg.runs)
+        table = _load_table(cfg, cfg.annotations, "human")
+        qrels = _load_qrels_if_needed(cfg)
+        if qrels is None:
+            qrels = Qrels({})
         testbed = Testbed(table, qrels, runset)
     else:
         testbed = generate_testbed(cfg.testbed or TestbedConfig(seed=cfg.seed))

@@ -395,8 +395,9 @@ class RunSet:
 
     Held as columns: ``vocabulary`` lists each document id once, and every
     (system, query) ranking owns a slice of ``codes`` (indices into the
-    vocabulary) and of ``scores``, in rank order. :meth:`get` and
-    :meth:`rankings` build Ranking objects on demand and memoise them.
+    vocabulary) and of ``scores``, in rank order. The columns are the only
+    form kept: :meth:`get` and :meth:`rankings` build an equal Ranking from
+    them on each call and keep none.
     """
 
     def __init__(self, rankings: Iterable[Ranking]):
@@ -404,15 +405,12 @@ class RunSet:
         codes: list[int] = []
         scores: list[float] = []
         spans = []
-        memo: dict[tuple[str, str], Ranking] = {}
         for ranking in rankings:
             start = len(codes)
             codes.extend([vocabulary.setdefault(d, len(vocabulary)) for d, _ in ranking.entries])
             scores.extend([s for _, s in ranking.entries])
             spans.append((ranking.system_tag, ranking.query_id, start, len(codes)))
-            memo[ranking.system_tag, ranking.query_id] = ranking
         self._set_columns(list(vocabulary), np.array(codes), np.array(scores), spans)
-        self._memo = memo
 
     @classmethod
     def from_columns(
@@ -460,7 +458,6 @@ class RunSet:
             if query_id in per_system:
                 raise ValueError(f"duplicate ranking for ({system_tag!r}, {query_id!r})")
             per_system[query_id] = (int(start), int(stop))
-        self._memo = {}
 
     @property
     def systems(self) -> tuple[str, ...]:
@@ -500,15 +497,11 @@ class RunSet:
         return list(map(self.vocabulary.__getitem__, self.codes[start:stop].tolist()))
 
     def get(self, system_tag: str, query_id: str) -> Ranking | None:
-        key = (system_tag, query_id)
-        ranking = self._memo.get(key)
-        if ranking is None:
-            span = self.span(system_tag, query_id)
-            if span is None:
-                return None
-            entries = tuple(zip(self.doc_list(*span), self.scores[span[0] : span[1]].tolist()))
-            ranking = self._memo[key] = _trusted_ranking(query_id, entries, system_tag)
-        return ranking
+        span = self.span(system_tag, query_id)
+        if span is None:
+            return None
+        entries = tuple(zip(self.doc_list(*span), self.scores[span[0] : span[1]].tolist()))
+        return _trusted_ranking(query_id, entries, system_tag)
 
     def rankings(self) -> Iterable[Ranking]:
         for system_tag in self.systems:

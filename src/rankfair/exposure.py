@@ -203,16 +203,19 @@ def compile_codes(
 
     List (a, b) is ``codes[starts[a, b] : starts[a, b] + lengths[a, b]]``,
     each code an index into ``vocabulary``. The vocabulary is mapped to
-    membership rows once, and the lists' rows are gathered from that map.
+    membership rows once, and the lists' rows are gathered from that map
+    one grid row at a time, so the gather's temporaries are (B, positions)
+    arrays, not (A, B, positions) ones.
     """
     n = len(index)
     rows_of = np.fromiter(map(index.get, vocabulary, repeat(n)), np.intp, len(vocabulary))
     if depth is not None:
         lengths = np.minimum(lengths, depth)
     offsets = np.arange(max(1, int(lengths.max(initial=0))))
-    filled = offsets < lengths[..., None]
-    rows = np.full(filled.shape, n + 1, dtype=np.intp)
-    rows[filled] = np.take(rows_of, np.take(codes, (starts[..., None] + offsets)[filled]))
+    rows = np.full(lengths.shape + offsets.shape, n + 1, dtype=np.intp)
+    for a, row in enumerate(rows):
+        filled = offsets < lengths[a, :, None]
+        row[filled] = np.take(rows_of, np.take(codes, (starts[a, :, None] + offsets)[filled]))
     missing = None
     hits = np.flatnonzero(rows == n)
     if hits.size:

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -534,6 +535,48 @@ class TestCheckBeforeWork:
         del config["schemes"]
         path = write_config(tmp_path, config, "bare.json")
         self.fails([command, "--config", path], "ConfigError: no schemes declared")
+        assert calls == [] and not (tmp_path / "out").exists()
+
+    def test_sweep_with_two_schemes(self, spied):
+        (tmp_path, _, config), calls = spied
+        config["schemes"].append({"name": "other", "groups": ["h0", "h1"]})
+        path = write_config(tmp_path, config, "two.json")
+        self.fails(["sweep", "--config", path], "ConfigError: sweep needs exactly one scheme; pass --scheme")
+        assert calls == [] and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command,flag,role",
+        [
+            ("compare", "--annotations-b", "annotations"),
+            ("evaluate", "--qrels", "qrels"),
+            ("evaluate", "--target", "target"),
+            ("sweep", "--annotations", "annotations"),
+            ("sample", "--annotations", "annotations"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "kind,reason",
+        [("missing", "No such file or directory"), ("directory", "Is a directory"),
+         ("unreadable", "Permission denied")],
+    )
+    def test_input_that_cannot_be_read(self, spied, monkeypatch, command, flag, role, kind, reason):
+        (tmp_path, config_path, _), calls = spied
+        target = tmp_path / kind
+        if kind == "directory":
+            target.mkdir()
+        elif kind == "unreadable":
+            # a permission bit does not stop root, so the open itself is refused
+            target.write_text("")
+
+            def refusing(path, *args, **kwargs):
+                if str(path) == str(target):
+                    raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+                return open(path, *args, **kwargs)
+
+            monkeypatch.setattr(cli, "open", refusing, raising=False)
+        args = [command, "--config", str(config_path), flag, str(target)]
+        line = self.fails(args, "ConfigError: ")
+        assert line.endswith(f"cannot read {role} file {target}: {reason}")
         assert calls == [] and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["evaluate", "compare", "sweep", "sample", "gen-testbed"])

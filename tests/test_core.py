@@ -230,7 +230,7 @@ class TestRankingTypes:
         rs = RunSet([r1, r2])
         assert rs.systems == ("sysA",)
         assert rs.queries("sysA") == ("q1", "q2")
-        assert rs.get("sysA", "q1") is r1
+        assert rs.get("sysA", "q1") == r1
         assert rs.get("sysB", "q1") is None
 
     def test_sequence_query_check(self):

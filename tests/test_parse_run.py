@@ -17,6 +17,7 @@ import gzip
 import io
 import os
 import warnings
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -256,10 +257,23 @@ class TestFirstFaultyLineWins:
 
 
 class TestRunSetColumns:
-    def test_get_is_memoised(self):
+    def test_get_builds_equal_rankings_and_keeps_none(self):
         rs = parse_run(GOOD)
-        assert rs.get("sA", "q1") is rs.get("sA", "q1")
+        assert rs.get("sA", "q1") == rs.get("sA", "q1") == Ranking(
+            "q1", (("d1", 3.0), ("d2", 2.0)), "sA"
+        )
         assert rs.get("sA", "q9") is None and rs.get("sX", "q1") is None
+
+    def test_keeps_no_ranking_alive(self):
+        given = Ranking("q1", (("d1", 3.0),), "sA")
+        built = RunSet([given])
+        parsed = parse_run(GOOD)
+        walked = next(iter(parsed.rankings()))
+        refs = [weakref.ref(given), weakref.ref(walked)]
+        del given, walked
+        assert [ref() for ref in refs] == [None, None]
+        assert built.get("sA", "q1") == Ranking("q1", (("d1", 3.0),), "sA")
+        assert parsed.get("sA", "q1") == Ranking("q1", (("d1", 3.0), ("d2", 2.0)), "sA")
 
     def test_concat_merges_without_rankings(self):
         a = parse_run("q1 Q0 d1 1 1 sA\nq1 Q0 d2 2 0.5 sA\n")
