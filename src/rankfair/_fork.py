@@ -1,10 +1,9 @@
-"""Forked helper processes: the workers of the parallel run scan and the
-sweep's draw producer.
+"""Forked helper processes: the workers of the parallel run scan.
 
 A child runs one function on the write end of a pipe and ends with
-``os._exit``; it touches nothing the parent will read except that pipe and
-shared memory mapped before the fork. The parent kills and reaps every
-child it started on every exit path, so none outlives the call that made it.
+``os._exit``; it touches nothing the parent will read except that pipe.
+The parent kills and reaps every child it started on every exit path, so
+none outlives the call that made it.
 """
 
 from __future__ import annotations

@@ -43,7 +43,6 @@ from .metrics import (
     score_runset,
 )
 from .simulate import (
-    MIN_DRAWS,
     Testbed,
     TestbedConfig,
     accuracy_sweep,
@@ -222,9 +221,8 @@ _FLAGS = {
     "--levels": ("sweep.levels", "Comma-separated accuracy levels.", "sweep"),
     "--trials": ("sweep.trials", "Trials per accuracy level.", "sweep"),
     "--workers": ("sweep.workers",
-                  "Accepted for compatibility (at least 1); a sweep of at least "
-                  f"{MIN_DRAWS} draws (cells x documents) hashes them in a forked "
-                  "producer on a second CPU.", "sweep"),
+                  "Accepted for compatibility (at least 1); cells run in this process.",
+                  "sweep"),
     "--style": ("sweep.style", "Confusion matrix error structure.", "sweep"),
     "--queries": ("testbed.queries", None, "gen-testbed"),
     "--docs": ("testbed.docs_per_query", "Documents per query.", "gen-testbed"),
@@ -350,7 +348,10 @@ def _load_runset(paths: tuple[str, ...]) -> RunSet:
     parts = []
     for path in paths:
         with _input(path, "runs") as fh:
-            parts.append(parse_run(fh))
+            part = parse_run(fh)
+        if not len(part):
+            raise ConfigError(f"runs file {path} holds no rankings")
+        parts.append(part)
     if len(parts) == 1:
         return parts[0]
     try:

@@ -467,6 +467,18 @@ class TestRunsFiles:
         assert result.exit_code == 1
         assert "ConfigError" in result.output and "latin1.txt" in result.output
 
+    @pytest.mark.parametrize("command", ["evaluate", "compare", "sweep"])
+    def test_runs_file_without_rankings_is_a_config_error(self, workspace, tmp_path, command):
+        _, config_path, _ = workspace
+        empty = tmp_path / "empty.txt"
+        empty.write_text("\n\n")
+        result = CliRunner().invoke(main, [command, "--config", str(config_path),
+                                           "--runs", str(empty)])
+        assert result.exit_code == 1
+        lines = result.output.strip().splitlines()
+        assert lines == [f"Error: ConfigError: runs file {empty} holds no rankings"]
+        assert not (tmp_path / "out").exists()
+
 
 class TestAtomicOutputs:
     def _fail_on_call(self, monkeypatch, target, name, call):

@@ -1,11 +1,5 @@
-import contextlib
-import errno
-import itertools
+import hashlib
 import math
-import mmap
-import os
-import signal
-import threading
 from unittest import mock
 
 import numpy as np
@@ -22,7 +16,7 @@ from rankfair.core import (
 from rankfair.errors import AccuracyOutOfRange, ConfigError, ConstantInput
 from rankfair.metrics import MetricConfig, evaluate_runset
 from rankfair.stats import pearson, spearman
-from rankfair import _fork, simulate
+from rankfair import simulate
 from rankfair.simulate import (
     ConfusionMatrix,
     accuracy_sweep,
@@ -139,11 +133,38 @@ class TestApplyConfusion:
 
     def test_draw_stream_pinned(self):
         draws = simulate._doc_uniforms
-        assert draws(0, ["d0"]).tolist() == [0.2485205248491542]
-        assert draws(42, ["q000_d0001"]).tolist() == [0.3128580503452809]
-        assert draws(2**64 - 1, ["doc-\u00fc"]).tolist() == [0.7805801770679761]
+        assert draws(0, ["d0"]).tolist() == [0.4306096584765803]
+        assert draws(42, ["q000_d0001"]).tolist() == [0.22116868455556316]
+        assert draws(2**64 - 1, ["doc-\u00fc"]).tolist() == [0.5999543275673697]
         # a draw does not depend on the other documents or their order
-        assert draws(42, ["d0", "q000_d0001"]).tolist()[1] == 0.3128580503452809
+        assert draws(42, ["d0", "q000_d0001"]).tolist()[1] == 0.22116868455556316
+
+    def test_draw_seed_range_and_draw_range(self):
+        ids = [f"d{i}" for i in range(1000)] + ["", "doc-\u00fc"]
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError):
+                simulate._doc_uniforms(seed, ids)
+        for seed in (0, 1, 2**63, 2**64 - 1):
+            draws = simulate._doc_uniforms(seed, ids)
+            assert draws.dtype == np.float64 and len(draws) == len(ids)
+            assert ((draws >= 0.0) & (draws < 1.0)).all()
+
+    def test_draws_equal_the_python_integer_reference(self):
+        """The uint64 array arithmetic wraps as Python integers masked to
+        64 bits do, step by step."""
+        mask = 2**64 - 1
+
+        def reference(seed, doc_id):
+            digest = hashlib.blake2b(doc_id.encode("utf-8"), digest_size=8).digest()
+            z = ((int.from_bytes(digest, "little") ^ seed) + 0x9E3779B97F4A7C15) & mask
+            z = ((z ^ z >> 30) * 0xBF58476D1CE4E5B9) & mask
+            z = ((z ^ z >> 27) * 0x94D049BB133111EB) & mask
+            z ^= z >> 31
+            return (z >> 11) * 2.0**-53
+
+        ids = [f"q{i % 7}_d{i}" for i in range(300)] + ["", "doc-\u00fc", "\u4e2d\u6587"]
+        for seed in (0, 7, 2**32 + 5, 2**63, 2**64 - 1, simulate._trial_seed(0, 2, 1)):
+            assert simulate._doc_uniforms(seed, ids).tolist() == [reference(seed, d) for d in ids]
 
     def test_other_schemes_pass_through(self):
         table = GroupMembershipTable(
@@ -305,176 +326,28 @@ class TestAccuracySweep:
         ones = [l for l in trial_lines[1:] if l.startswith("1.0,")]
         assert all(l.split(",")[2] == "1.0" for l in ones)
 
-
-@contextlib.contextmanager
-def forking(min_draws=1):
-    """As on a machine with two CPUs, where a sweep of ``min_draws`` draws
-    is worth a producer; yields the pids of the children forked, which must
-    all be reaped once the sweep has returned or raised."""
-    pids = []
-    fork = os.fork
-
-    def spy():
-        pid = fork()
-        pids.append(pid)
-        return pid
-
-    with (
-        mock.patch.object(simulate, "MIN_DRAWS", min_draws),
-        mock.patch.object(_fork, "cpus", lambda: 2),
-        mock.patch.object(os, "fork", spy),
-    ):
-        yield pids
-    for pid in pids:
-        with pytest.raises(ChildProcessError):
-            os.waitpid(pid, os.WNOHANG)
-
-
-def delivered(ready):
-    """The producer's front cell seen as always (True) or never (False)
-    delivered yet: the sweep reads every cell from the producer, or takes
-    every cell it can from the back."""
-    return mock.patch.object(simulate._CellDraws, "_delivered", lambda self: ready)
-
-
-class TestDrawProducer:
-    """A sweep whose draws a forked producer hashes ahead equals the sweep
-    that hashes its own, however the producer fares."""
-
-    LEVELS = [0.4, 0.55, 0.7, 0.9, 1.0]
-    CELLS = 2 * len(LEVELS)
-
-    def sweep(self, bed):
-        return sweep_to_json(accuracy_sweep(bed, self.LEVELS, trials=2, seed=9))
-
-    def serial(self, bed):
-        with mock.patch.object(_fork, "cpus", lambda: 1):
-            return self.sweep(bed)
-
-    def test_ring_wraps(self):
-        bed = generate_testbed(SMALL)
-        assert self.CELLS > simulate.RING_SLOTS
-        with (
-            forking() as pids,
-            delivered(True),
-            mock.patch.object(simulate, "_doc_uniforms") as hashed_here,
-        ):
-            got = self.sweep(bed)
-        assert len(pids) == 1 and not hashed_here.called
-        assert got == self.serial(bed)
-
-    def test_cells_from_the_back(self):
-        bed = generate_testbed(SMALL)
-        with (
-            forking() as pids,
-            delivered(False),
-            mock.patch.object(simulate, "_doc_uniforms", wraps=simulate._doc_uniforms) as here,
-        ):
-            got = self.sweep(bed)
-        assert len(pids) == 1
-        assert [c.args[0] for c in here.call_args_list] == [
-            simulate._trial_seed(9, cell // 2, cell % 2) for cell in range(self.CELLS - 1, 0, -1)
-        ]  # every cell but the first, last first
-        assert got == self.serial(bed)
-
-    def test_as_it_comes(self):
-        bed = generate_testbed(SMALL)
-        with forking() as pids:
-            got = self.sweep(bed)
-        assert len(pids) == 1 and got == self.serial(bed)
-
-    def test_small_sweep_stays_serial(self):
-        bed = generate_testbed(SMALL)
-        assert self.CELLS * len(bed.table.columns("group")[0]) < simulate.MIN_DRAWS
-        with forking(simulate.MIN_DRAWS) as pids:
-            got = self.sweep(bed)
-        assert not pids and got == self.serial(bed)
-
-    def test_refused_fork(self):
-        bed = generate_testbed(SMALL)
-        refused = mock.Mock(side_effect=BlockingIOError(11, "refused"))
-        with forking(), mock.patch.object(os, "fork", refused):
-            got = self.sweep(bed)
-        assert refused.call_count == 1
-        assert got == self.serial(bed)
-
-    @pytest.mark.parametrize("call, error", [
-        ("mmap", OSError(errno.ENOMEM, "no memory for the ring")),
-        ("pipe", OSError(errno.EMFILE, "no descriptor for a pipe")),
-    ])
-    def test_no_ring_or_pipe(self, call, error):
-        bed = generate_testbed(SMALL)
-        module = mmap if call == "mmap" else os
-        with forking() as pids, mock.patch.object(module, call, side_effect=error) as failing:
-            got = self.sweep(bed)
-        assert failing.call_count == 1
-        assert not pids and got == self.serial(bed)
-
-    @pytest.mark.parametrize("k", [0, 3, 6])
-    def test_producer_killed_after_k_cells(self, k):
-        bed = generate_testbed(SMALL)
-        sweep_pid, hashed = os.getpid(), itertools.count()
-        digests = simulate._doc_digests
-
-        def dying(seed, doc_ids):
-            if os.getpid() != sweep_pid and next(hashed) == k:
-                os.kill(os.getpid(), signal.SIGKILL)
-            return digests(seed, doc_ids)
-
-        with (
-            forking() as pids,
-            delivered(True),
-            mock.patch.object(simulate, "_doc_digests", dying),
-            mock.patch.object(simulate, "_doc_uniforms", wraps=simulate._doc_uniforms) as here,
-        ):
-            got = self.sweep(bed)
-        assert len(pids) == 1
-        assert here.call_count == self.CELLS - k  # every cell from the k-th on
-        assert got == self.serial(bed)
-
-    def test_no_fork_while_another_thread_runs(self):
-        bed = generate_testbed(SMALL)
-        release = threading.Event()
-        thread = threading.Thread(target=release.wait, args=(60,))
-        thread.start()
-        try:
-            with forking() as pids:
-                got = self.sweep(bed)
-        finally:
-            release.set()
-            thread.join(60)
-        assert not thread.is_alive()
-        assert not pids and got == self.serial(bed)
-
-    @pytest.mark.parametrize("ready", [True, False])
-    def test_constant_input_names_the_first_such_cell_and_leaves_no_child(self, ready):
-        """Cells at 0.55 and 0.9 raise; the error is the first such cell's
-        in cell order, even when cells are taken from the back."""
+    def test_constant_input_names_the_first_such_cell(self):
+        """Cells at 0.55 and 0.9 raise; the error is the 0.55 cell's, the
+        first such cell in cell order."""
         bed = generate_testbed(SMALL)
         relabeled, real_agreement = simulate._relabeled, simulate.agreement
         cell = {}
 
         def remember(stored, draws, matrix):
-            cell.update(accuracy=matrix.rows[0][0], draw=draws[0])
+            cell.update(accuracy=matrix.rows[0][0])
             return relabeled(stored, draws, matrix)
 
         def constant_at_some_levels(*args):
             if cell["accuracy"] in (0.55, 0.9):
-                raise ConstantInput(f"constant at {cell['accuracy']}, draw {cell['draw']!r}")
+                raise ConstantInput(f"constant at {cell['accuracy']}")
             return real_agreement(*args)
 
-        patches = (
+        with (
             mock.patch.object(simulate, "_relabeled", remember),
             mock.patch.object(simulate, "agreement", constant_at_some_levels),
-        )
-        with patches[0], patches[1], pytest.raises(ConstantInput) as serial:
-            self.serial(bed)
-        assert "constant at 0.55" in str(serial.value)
-        with forking() as pids, delivered(ready), patches[0], patches[1]:
-            with pytest.raises(ConstantInput) as forked:
-                self.sweep(bed)
-        assert len(pids) == 1
-        assert str(forked.value) == str(serial.value)
+            pytest.raises(ConstantInput, match="constant at 0.55"),
+        ):
+            accuracy_sweep(bed, [0.4, 0.55, 0.7, 0.9, 1.0], trials=2, seed=9)
 
 
 def test_hard_trials_average_to_the_soft_exposure():
