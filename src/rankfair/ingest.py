@@ -111,7 +111,9 @@ def parse_run(source: str | bytes | IO) -> RunSet:
     Fields are separated by runs of spaces or tabs. The second field is
     carried for compatibility and its content is ignored. Entries are
     ordered by the rank field ascending (ties keep input order), regardless
-    of the order lines appear in. The source is read in blocks; doc ids and
+    of the order lines appear in; input already in that order (each
+    ranking's lines together, ranks never decreasing) is not re-sorted.
+    The source is read in blocks; doc ids and
     (tag, qid) keys become integer codes as lines arrive, and duplicates and
     the rank order are found with array operations at the end. An error
     names the first faulty line of the file.
@@ -139,17 +141,32 @@ def parse_run(source: str | bytes | IO) -> RunSet:
     )
     doc_codes, key_codes, scores = map(np.asarray, (doc_codes, key_codes, scores))
     _raise_first_duplicate(doc_codes, key_codes, docs, keys, blanks)
-    if isinstance(ranks, list):  # order-preserving small stand-ins for huge ranks
+    widened = isinstance(ranks, list)
+    if widened:  # order-preserving small stand-ins for huge ranks
         dense = {rank: i for i, rank in enumerate(sorted(set(ranks)))}
         ranks = array("q", map(dense.__getitem__, ranks))
-    order = np.lexsort((ranks, key_codes))
+    ranks = np.asarray(ranks)
+    in_order = not widened and _in_rank_order(key_codes, ranks)
+    order = None if in_order else np.lexsort((ranks, key_codes))
     counts = np.bincount(key_codes, minlength=len(keys)).tolist()
     del ranks, key_codes  # freed before the gathers below, to lower the peak
     spans = [
         (tag, qid, stop - count, stop)
         for (tag, qid), count, stop in zip(keys, counts, accumulate(counts))
     ]
-    return RunSet.from_columns(list(docs), doc_codes[order], scores[order], spans)
+    if order is not None:
+        doc_codes, scores = doc_codes[order], scores[order]
+    return RunSet.from_columns(list(docs), doc_codes, scores, spans)
+
+
+def _in_rank_order(key_codes: np.ndarray, ranks: np.ndarray) -> bool:
+    """Whether entries are already in the order a stable sort by key code,
+    then rank, gives: key codes never decrease, and ranks never decrease
+    within a key."""
+    later, earlier = key_codes[1:], key_codes[:-1]
+    if np.any(later < earlier):
+        return False
+    return bool(np.all((later > earlier) | (ranks[1:] >= ranks[:-1])))
 
 
 def _scan_run(chunks: Iterable[str | bytes], at_start: bool = True) -> tuple:

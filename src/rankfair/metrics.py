@@ -327,14 +327,6 @@ class MetricReport:
         return tuple(sorted(self.aggregates))
 
 
-def _evaluation_queries(runset: RunSet, qrels: Qrels | None, config: MetricConfig) -> list[str]:
-    if config.target in ("qrels-binary", "qrels-graded"):
-        if qrels is None:
-            raise ConfigError("qrels-based targets need qrels")
-        return [q for q in qrels.queries if qrels.relevant(q)]
-    return list(runset.all_queries)
-
-
 def _fixed_target(scheme: GroupScheme, query_id: str, config: MetricConfig) -> ExposureVector:
     if config.target == "uniform":
         return target_uniform(scheme, exclude_unknown=config.exclude_unknown)
@@ -370,14 +362,19 @@ class CompiledEvaluation:
         self.scheme = scheme
         self.config = config
         self.systems = runset.systems
-        self.queries = tuple(_evaluation_queries(runset, qrels, config))
         index, _ = table.matrix(scheme.name)
         self.relevant: QrelsTargets | None = None
         self.targets: np.ndarray | None = None
         if config.target in ("qrels-binary", "qrels-graded"):
-            pairs = [sorted(qrels.relevant(q).items()) for q in self.queries]
+            if qrels is None:
+                raise ConfigError("qrels-based targets need qrels")
+            # the queries with at least one relevant document, each read once
+            relevant = {q: r for q in qrels.queries if (r := qrels.relevant(q))}
+            self.queries = tuple(relevant)
+            pairs = [sorted(r.items()) for r in relevant.values()]
             self.relevant = QrelsTargets(pairs, index, graded=config.target == "qrels-graded")
         else:
+            self.queries = runset.all_queries
             fixed = [_fixed_target(scheme, q, config).masses for q in self.queries]
             self.targets = np.array(fixed, dtype=np.float64).reshape(len(fixed), scheme.k)
         starts, lengths = runset.slices(self.systems, self.queries)

@@ -90,10 +90,15 @@ def confusion_for_accuracy(
 
 def _doc_keys(doc_ids: Sequence[str]) -> np.ndarray:
     """The 8-byte blake2b digest of each document id, read as a
-    little-endian ``uint64``: the per-document half of the draw stream."""
-    digests = b"".join(
-        hashlib.blake2b(doc_id.encode("utf-8"), digest_size=8).digest() for doc_id in doc_ids
-    )
+    little-endian ``uint64``: the per-document half of the draw stream.
+    Each id updates a copy of one fresh hasher, which gives the bytes of
+    ``blake2b(doc_id, digest_size=8)`` without setting one up per id."""
+    copy = hashlib.blake2b(digest_size=8).copy
+    digests = bytearray()
+    for doc_id in doc_ids:
+        hasher = copy()
+        hasher.update(doc_id.encode("utf-8"))
+        digests += hasher.digest()
     return np.frombuffer(digests, dtype="<u8")
 
 
@@ -125,19 +130,23 @@ def _corrupted_rows(
     through ``matrix``; see :func:`apply_confusion`."""
     if mode == "soft":
         return stored @ matrix.as_array()
-    return _relabeled(stored, _doc_uniforms(seed, doc_ids), matrix)
+    return _relabeled(np.argmax(stored, axis=1), _doc_uniforms(seed, doc_ids), matrix)
 
 
-def _relabeled(stored: np.ndarray, draws: np.ndarray, matrix: ConfusionMatrix) -> np.ndarray:
-    """One-hot rows: each row's argmax group relabeled through ``matrix`` by
-    the row's draw."""
+def _relabeled(truth: np.ndarray, draws: np.ndarray, matrix: ConfusionMatrix) -> np.ndarray:
+    """One-hot rows: each document's true group ``truth`` (the argmax of its
+    stored row, ties to the lowest index) relabeled through ``matrix`` by
+    the document's draw."""
     k = matrix.scheme.k
-    truth = np.argmax(stored, axis=1)  # ties resolve to the lowest index
     # each cumulative row is non-decreasing, so counting the entries at or
-    # below a draw is searchsorted(side="right") on that row
+    # below a draw is searchsorted(side="right") on that row; the last entry
+    # is left out, so a draw at or beyond it (a row may sum to just below
+    # one) takes the last group
     cum = np.cumsum(matrix.as_array(), axis=1)
-    labels = np.count_nonzero(cum[truth] <= draws[:, None], axis=1)
-    return np.eye(k)[np.minimum(labels, k - 1)]
+    labels = np.zeros(len(draws), dtype=np.intp)
+    for column in cum[:, :-1].T:  # one gather per column: no (docs, k) temporary
+        labels += np.take(column, truth) <= draws
+    return np.take(np.eye(k), labels, axis=0)
 
 
 def apply_confusion(
@@ -229,9 +238,9 @@ def generate_testbed(config: TestbedConfig) -> Testbed:
     labels: list[np.ndarray] = []
     judgments: dict[str, dict[str, int]] = {}
     vocabulary: list[str] = []
-    codes: list[np.ndarray] = []
     spans: list[tuple[str, str, int, int]] = []
     n = config.docs_per_query
+    codes = np.empty(config.n_queries * len(lambdas) * n, dtype=np.intp)
     for qi in range(config.n_queries):
         qid = f"q{qi:03d}"
         doc_ids = [f"{qid}_d{di:04d}" for di in range(n)]
@@ -257,12 +266,12 @@ def generate_testbed(config: TestbedConfig) -> Testbed:
         for s, lam in enumerate(lambdas):
             keys = (1.0 - lam) * pos_balanced + lam * pos_skewed
             order = np.argsort(keys, kind="stable")
-            start = len(codes) * n
-            codes.append(len(vocabulary) + order)
+            start = len(spans) * n
+            np.add(order, len(vocabulary), out=codes[start : start + n])
             spans.append((f"sys{s:02d}", qid, start, start + n))
         vocabulary.extend(doc_ids)
-    scores = np.tile(np.arange(n, 0, -1, dtype=np.float64), len(codes))
-    runset = RunSet.from_columns(vocabulary, np.concatenate(codes), scores, spans)
+    scores = np.tile(np.arange(n, 0, -1, dtype=np.float64), len(spans))
+    runset = RunSet.from_columns(vocabulary, codes, scores, spans)
     columns = {scheme.name: (vocabulary, np.eye(k)[np.concatenate(labels)])}
     table = GroupMembershipTable.from_columns([scheme], columns, provenance="synthetic")
     return Testbed(table, Qrels(judgments), runset)
@@ -334,9 +343,11 @@ def accuracy_sweep(
     Cells run in this process, in cell order: ``workers`` is accepted for
     compatibility, must be at least 1, and changes nothing.
 
-    Each document id is hashed once per sweep (see :func:`_doc_uniforms`);
-    a cell's draws then mix those keys with the cell's seed in a few array
-    operations, with no further hashing.
+    Each document id is hashed, and its true group (the argmax of its
+    stored row, ties to the lowest index) found, once per sweep (see
+    :func:`_doc_uniforms`); a cell's draws then mix those keys with the
+    cell's seed, and relabel those groups, in a few array operations, with
+    no further hashing.
     """
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
@@ -357,12 +368,12 @@ def accuracy_sweep(
         raise ConfigError("the sweep has no evaluation queries")
     truth = ScoreTable(evaluation.systems, evaluation.queries, (f"awrf:{scheme_name}",),
                        evaluation.scores(stored)[None], evaluation.runs.lengths == 0)
-    keys = _doc_keys(ids)
+    keys, true_groups = _doc_keys(ids), np.argmax(stored, axis=1)
 
     def run_cell(level_index: int, trial: int) -> SweepTrial:
         accuracy = level_list[level_index]
         draws = _mixed_uniforms(_trial_seed(seed, level_index, trial), keys)
-        rows = _relabeled(stored, draws, matrices[level_index])
+        rows = _relabeled(true_groups, draws, matrices[level_index])
         degraded = replace(truth, values=evaluation.scores(rows)[None])
         report = agreement(degraded, truth, alpha)
         if not report.system_rows():

@@ -404,6 +404,36 @@ class TestGenTestbed:
         }
         assert got == want
 
+    @pytest.mark.parametrize(
+        "shape, want",
+        [
+            (["--queries", "5", "--docs", "100", "--groups", "3", "--systems", "30"], {
+                "annotations.tsv": "2c052ae5f561700d153463237351d988fecaacfb52042d23d348564b9af2a397",
+                "qrels.txt": "9d3a6552d7a83b6b00d5195fbf4f6ebc5b2b36cc8a4c53a8d7f69ebffa13c064",
+                "runs.txt": "a510f3bb46ed87cb41c51663133898d6d2a50a34dfea6f6574cb1513a8b116f0",
+                "scheme.json": "b3289828c38136c8890d684c470c578d8a7e8b7beab3eeaf0365072665ed9654",
+            }),
+            ([], {
+                "annotations.tsv": "99f479c602fe799c71e32884886ba0355e4fe8713cb7ba6eb1f9a1f3fbfcec5e",
+                "qrels.txt": "996949d3f9c4f7292cb881eb997e174424f9f80d206f5b0bb62034aad23f0e78",
+                "runs.txt": "1b89c7365d7a37da88b50adf5a74e6f0b19e32e3eb642a8ea4860effddde4822",
+                "scheme.json": "d8ec31504d488d6bda8ac2ca2c3acefeb3c45504ccd1587a599870646695808b",
+            }),
+        ],
+        ids=["small", "default"],
+    )
+    def test_fixture_sizes_unchanged(self, tmp_path, shape, want):
+        """sha256 of the files written at the output fixtures' two sizes
+        with seed 0, taken before the run codes were written in place; the
+        benchmark's input digests and criterion 9 rest on these bytes."""
+        result = invoke("gen-testbed", *shape, "--seed", "0", "--out", str(tmp_path / "out"))
+        assert result.exit_code == 0, result.output
+        got = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in (tmp_path / "out").iterdir()
+        }
+        assert got == want
+
     def test_numeric_strings_in_config_still_accepted(self, tmp_path):
         flags = invoke(
             "gen-testbed", "--queries", "3", "--docs", "20", "--groups", "3",

@@ -126,6 +126,22 @@ def block_reads():
         yield taken
 
 
+@contextlib.contextmanager
+def rank_order_checks():
+    """Yields a list that gets, for each parse that checks whether its
+    entries are already in rank order, the answer; a parse that sorts
+    without checking adds nothing."""
+    answers = []
+    check = ingest._in_rank_order
+
+    def check_spy(key_codes, ranks):
+        answers.append(check(key_codes, ranks))
+        return answers[-1]
+
+    with mock.patch.object(ingest, "_in_rank_order", check_spy):
+        yield answers
+
+
 def assert_same(text, kind="str", block=None, fast=False):
     """``parse_run`` equals the oracle: the same rankings, score bits
     included, or the same error; with ``fast``, every block was taken by
@@ -230,6 +246,51 @@ class TestOrder:
         got, _ = assert_same(text)
         assert len(got) == 3
         assert len(got.vocabulary) == 1
+
+    def test_shuffled_lines_give_the_same_run_set(self):
+        """A testbed's run file is already in order and is not sorted; its
+        lines shuffled are, and give the same rankings."""
+        bed = simulate.generate_testbed(simulate.TestbedConfig(
+            n_queries=4, docs_per_query=30, n_groups=3, n_systems=5, seed=1))
+        text = write_run(bed.runset)
+        lines = text.splitlines(keepends=True)
+        shuffled = "".join(lines[i] for i in np.random.default_rng(0).permutation(len(lines)))
+        with rank_order_checks() as checks:
+            in_order, _ = assert_same(text)
+            out_of_order, _ = assert_same(shuffled)
+        assert checks == [True, False]
+        assert in_order == out_of_order == bed.runset
+        assert layout(in_order) == layout(out_of_order) == layout(bed.runset)
+
+    def test_ties_in_order_keep_input_order(self):
+        text = "q1 Q0 dC 1 0 s\nq1 Q0 dA 1 0 s\nq1 Q0 dD 2 0 s\nq1 Q0 dB 2 0 s\n"
+        with rank_order_checks() as checks:
+            got, _ = assert_same(text)
+        assert checks == [True]
+        assert got.get("s", "q1").doc_ids == ("dC", "dA", "dD", "dB")
+
+    def test_key_reappearing_after_another_key_is_sorted(self):
+        """Key codes count first appearance, so a ranking whose lines come
+        back after another ranking's is out of order, even with its ranks
+        in order."""
+        text = "q1 Q0 dA 1 0 s\nq2 Q0 dA 1 0 s\nq1 Q0 dB 2 0 s\nq2 Q0 dB 2 0 s\n"
+        with rank_order_checks() as checks:
+            got, _ = assert_same(text)
+        assert checks == [False]
+        assert got.get("s", "q1").doc_ids == got.get("s", "q2").doc_ids == ("dA", "dB")
+
+    def test_ranks_beyond_int64_in_order_are_sorted(self):
+        """Ranks widened to Python integers always take the sort."""
+        text = (
+            "q1 Q0 dB -99999999999999999999 1 s\n"
+            "q1 Q0 dC 5 1 s\n"
+            "q1 Q0 dA 99999999999999999999 1 s\n"
+            "q1 Q0 dD 99999999999999999999 1 s\n"
+        )
+        with rank_order_checks() as checks:
+            got, _ = assert_same(text)
+        assert checks == []
+        assert got.get("s", "q1").doc_ids == ("dB", "dC", "dA", "dD")
 
 
 class TestFirstFaultyLineWins:

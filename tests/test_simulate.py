@@ -600,3 +600,133 @@ def test_nan_level_rejected_before_any_cell():
     bed = generate_testbed(SMALL)
     with pytest.raises(AccuracyOutOfRange):
         accuracy_sweep(bed, [math.nan, 1.0], trials=1)
+
+
+# --- the simulation helpers against their definitions ----------------------------------
+
+G5 = GroupScheme("five", tuple(f"g{i}" for i in range(5)))
+
+
+def test_doc_keys_equal_the_per_id_digest():
+    """Each key is the id's 8-byte blake2b digest read as little-endian,
+    whatever the id's characters, and whichever ids come before it."""
+    ids = ["", "d0", "q000_d0001", "doc-ü", "中文", "\U0001f600 x", "a" * 300, ""]
+    keys = simulate._doc_keys(ids)
+    want = [
+        int.from_bytes(hashlib.blake2b(d.encode("utf-8"), digest_size=8).digest(), "little")
+        for d in ids
+    ]
+    assert keys.dtype == np.dtype("<u8")
+    assert keys.tolist() == want
+    assert simulate._doc_keys(ids[::-1]).tolist() == want[::-1]
+    assert simulate._doc_keys([]).tolist() == []
+
+
+def _relabel_by_document(truth, draws, matrix):
+    """One searchsorted per document on its true group's cumulative row,
+    capped at the last group, as one-hot rows."""
+    k = matrix.scheme.k
+    cum = np.cumsum(matrix.as_array(), axis=1)
+    rows = np.zeros((len(draws), k))
+    for i, (g, draw) in enumerate(zip(truth.tolist(), draws.tolist())):
+        rows[i, min(int(np.searchsorted(cum[g], draw, side="right")), k - 1)] = 1.0
+    return rows
+
+
+@pytest.mark.parametrize("scheme", [G2, G5], ids=["k2", "k5"])
+def test_relabeled_equals_the_per_document_searchsorted(scheme):
+    k = scheme.k
+    rng = np.random.default_rng(k)
+    raw = rng.uniform(0.0, 1.0, size=(k, k)) * (rng.random((k, k)) < 0.7)
+    raw[:, -1] += 1e-3
+    short = raw / raw.sum(axis=1, keepdims=True)
+    short[0, -1] = max(short[0, -1] - 5e-10, 0.0)  # a row summing to just below one
+    matrices = [confusion_for_accuracy(scheme, a, style) for a in (1 / k, 0.7, 1.0)
+                for style in ("uniform", "biased")]
+    matrices.append(ConfusionMatrix(scheme, tuple(map(tuple, short))))
+    for matrix in matrices:
+        cum = np.cumsum(matrix.as_array(), axis=1)
+        draws = np.concatenate([
+            [0.0, 1.0 - 2.0**-53], cum.ravel(), np.random.default_rng(1).random(300)
+        ])
+        for truth in [np.full(len(draws), g) for g in range(k)] + [
+            rng.integers(0, k, size=len(draws))
+        ]:
+            rows = simulate._relabeled(truth, draws, matrix)
+            assert rows.dtype == np.float64
+            np.testing.assert_array_equal(rows, _relabel_by_document(truth, draws, matrix))
+
+
+@pytest.mark.parametrize("scheme", [G2, G5], ids=["k2", "k5"])
+def test_hard_corruption_relabels_the_lowest_tied_group(scheme):
+    """Soft rows whose largest weight is shared relabel the first group
+    holding it."""
+    k = scheme.k
+    rng = np.random.default_rng(k + 10)
+    stored = rng.uniform(0.0, 1.0, size=(400, k))
+    for i in range(0, 400, 2):  # every other row ties its maximum in two places
+        a, b = sorted(rng.choice(k, size=2, replace=False).tolist())
+        stored[i, b] = stored[i, a] = stored[i].max() + 0.5
+    stored /= stored.sum(axis=1, keepdims=True)
+    truth = np.array([row.index(max(row)) for row in stored.tolist()])
+    ids = [f"d{i:03d}" for i in range(400)]
+    matrix = confusion_for_accuracy(scheme, 0.6)
+    rows = simulate._corrupted_rows(stored, ids, matrix, 5, "hard")
+    want = _relabel_by_document(truth, simulate._doc_uniforms(5, ids), matrix)
+    np.testing.assert_array_equal(rows, want)
+
+
+def _mixed_table():
+    """A 5-group scheme with one-hot rows, soft rows and soft rows whose
+    largest weight is tied, plus a second scheme left as it is."""
+    rng = np.random.default_rng(11)
+    five = {}
+    for i in range(300):
+        doc = f"q{i % 7}_d{i:04d}" if i % 11 else f"doc-ü{i}"
+        if i % 3 == 0:
+            five[doc] = one_hot(G5, int(rng.integers(0, 5)))
+        elif i % 3 == 1:
+            five[doc] = normalize(rng.uniform(0.01, 1.0, size=5), G5)
+        else:
+            weights = [0.1] * 5
+            for g in rng.choice(5, size=2, replace=False).tolist():
+                weights[g] = 0.35
+            five[doc] = MembershipVector(G5, weights)
+    pair = {doc: one_hot(G2, i % 2) for i, doc in enumerate(five)}
+    return GroupMembershipTable([G5, G2], {"five": five, "pair": pair})
+
+
+@pytest.mark.parametrize(
+    "accuracy, style, seed, mode, digest",
+    [
+        (0.6, "uniform", 0, "hard",
+         "b9debfc4d611366de1443058656338cea4fa45592f9736033ec52e75efd06382"),
+        (0.45, "biased", 7, "hard",
+         "4d3700c6b473f60448395b1a350f9ff8dc17c306dc330dd233fad4c5216a1b5a"),
+        (0.6, "uniform", 0, "soft",
+         "342071e1c3aa44eeb4b841b1dab8131984d95fd12370fd8c427a78dc55036d1f"),
+    ],
+)
+def test_apply_confusion_output_pinned(accuracy, style, seed, mode, digest):
+    """sha256 of the corrupted scheme's ids and row bits, taken before the
+    true groups were computed once per sweep; the other scheme is kept."""
+    table = _mixed_table()
+    out = apply_confusion(table, confusion_for_accuracy(G5, accuracy, style), seed, mode)
+    ids, rows = out.columns("five")
+    got = hashlib.sha256("\n".join(ids).encode("utf-8") + rows.tobytes()).hexdigest()
+    assert got == digest
+    assert out.columns("pair")[0] == table.columns("pair")[0]
+    np.testing.assert_array_equal(out.columns("pair")[1], table.columns("pair")[1])
+
+
+def test_sweep_json_pinned():
+    """sha256 of ``sweep_to_json`` for a small sweep, uniform and biased,
+    taken before keys and true groups were computed once per sweep."""
+    bed = generate_testbed(SMALL)
+    want = {
+        "uniform": "277fd6fb271140e054098c00e0dbcb546cb992613c4c7b91724b1b195934e143",
+        "biased": "84a07ac94ddc10c1e2e3171f3d6ff7a06ec526b5d392b6925d27fc9ffb7d6274",
+    }
+    for style, digest in want.items():
+        result = accuracy_sweep(bed, [0.4, 0.7, 1.0], 2, seed=3, style=style)
+        assert hashlib.sha256(sweep_to_json(result).encode("utf-8")).hexdigest() == digest

@@ -18,10 +18,12 @@ runs ``cmp`` on every pair of files) and value by value:
 Inputs: the default testbed from ``gen-testbed --seed 0`` with an
 80%-accurate hard-label model file (5% of documents left out, the rule of
 the benchmark's compare-cli workload), a copy of its run file without some
-rankings (so some systems miss some queries), criterion 9's fixture, and a
-two-scheme soft fixture as JSONL and TSV. Outputs, one directory each under
-``reports/``: ``evaluate`` with three flag sets on the testbed and one each
-on the other fixtures, ``compare`` with two flag sets, with
+rankings (so some systems miss some queries), a copy with its lines in a
+seeded random order (so ``parse_run`` has to sort them; the generated file
+is already in order), criterion 9's fixture, and a two-scheme soft fixture
+as JSONL and TSV. Outputs, one directory each under ``reports/``:
+``evaluate`` with three flag sets on the testbed, one on the shuffled copy
+and one each on the other fixtures, ``compare`` with two flag sets, with
 ``--exclude-missing`` on the copy, with the copy as ``runs_b`` and on
 criterion 9's fixture, ``sweep`` from files, from criterion 9's config with
 1 and 4 workers and on a synthetic testbed, and ``sample``. Each command's
@@ -81,6 +83,13 @@ def drop_rankings(runs: Path, out: Path) -> None:
     out.write_text("".join(kept), encoding="utf-8")
 
 
+def shuffle_lines(runs: Path, out: Path, seed: int) -> None:
+    """The run file with its lines in a seeded random order."""
+    lines = runs.read_text(encoding="utf-8").splitlines(keepends=True)
+    order = np.random.default_rng(seed).permutation(len(lines)).tolist()
+    out.write_text("".join(map(lines.__getitem__, order)), encoding="utf-8")
+
+
 def soft_rows(docs: list[str]) -> list[tuple[str, str, dict[str, float]]]:
     """(doc, scheme, weights) of two soft schemes, some documents left out of
     each; ``tone`` has an unknown group."""
@@ -124,6 +133,7 @@ def main(argv=None) -> int:
     write_json(root / "testbed/config.json", {"schemes": [scheme]})
     write_model(root / "testbed/annotations.tsv", root / "testbed/model.tsv", scheme["groups"], 0)
     drop_rankings(root / "testbed/runs.txt", root / "testbed/runs_missing.txt")
+    shuffle_lines(root / "testbed/runs.txt", root / "testbed/runs_shuffled.txt", 0)
     write_json(root / "testbed/config_runs_b.json",
                {"schemes": [scheme], "runs_b": ["testbed/runs_missing.txt"]})
     inputs = ["--qrels", "testbed/qrels.txt", "--annotations", "testbed/annotations.tsv"]
@@ -180,6 +190,8 @@ def main(argv=None) -> int:
            "--target-mode", "graded", "--cutoff", "20")
     report("evaluate-uniform-p0.8-complement", "evaluate", *bed, "--target", "uniform",
            "--patience", "0.8", "--complement")
+    report("evaluate-shuffled", "evaluate", "--config", "testbed/config.json",
+           "--runs", "testbed/runs_shuffled.txt", *inputs)
     report("compare", "compare", *bed, "--annotations-b", "testbed/model.tsv")
     report("compare-complement-cutoff50", "compare", *bed, "--annotations-b", "testbed/model.tsv",
            "--complement", "--cutoff", "50")
