@@ -323,6 +323,9 @@ def load_config(
         with _config_errors(" or ".join(setters) or f"config key '{section}'"):
             kwargs[section] = replace(default, **values)
     cfg = ExperimentConfig(**kwargs)
+    for key, names in (("schemes", [s.name for s in cfg.schemes]), ("eval_schemes", cfg.eval_schemes)):
+        if repeated := sorted({n for n in names if names.count(n) > 1}):
+            raise ConfigError(f"{set_by.get(key, f'config key {key!r}')} repeats schemes {repeated}")
     undeclared = set(cfg.eval_schemes) - {s.name for s in cfg.schemes}
     if cfg.schemes and undeclared:
         name = set_by.get("eval_schemes", "config key 'eval_schemes'")

@@ -302,18 +302,16 @@ class QrelsTargets:
 # --- one-ranking and one-query forms --------------------------------------------------
 
 
-def raw_exposure_array(
-    ranking: Ranking,
-    table: GroupMembershipTable,
-    scheme: GroupScheme,
-    model: AttentionModel,
-    fallback: MissingPolicy = MissingPolicy.REJECT,
+def _raw_exposures(
+    rankings: Sequence[Ranking], table: GroupMembershipTable, scheme: GroupScheme,
+    model: AttentionModel, fallback: MissingPolicy,
 ) -> np.ndarray:
-    """Attention-weighted sum of membership rows for one ranking (raw masses)."""
-    if len(ranking) == 0:
+    """Raw exposure of each ranking, shape (rankings, k), from one compile."""
+    if any(len(r) == 0 for r in rankings):
         raise ValueError("cannot compute exposure of an empty ranking")
-    runs, members = compile_table([[ranking.entries]], table, scheme, fallback, model.cutoff)
-    return weighted_rows(runs, members, attention_weights(model, runs.rows.shape[-1]))[0, 0]
+    grid = [[r.entries] for r in rankings]
+    runs, members = compile_table(grid, table, scheme, fallback, model.cutoff)
+    return weighted_rows(runs, members, attention_weights(model, runs.rows.shape[-1]))[:, 0]
 
 
 def cumulative_exposure(
@@ -329,7 +327,7 @@ def cumulative_exposure(
     divergence-based metrics.
     """
     scheme = table.scheme(scheme) if isinstance(scheme, str) else scheme
-    raw = raw_exposure_array(ranking, table, scheme, model, fallback)
+    raw = _raw_exposures([ranking], table, scheme, model, fallback)[0]
     return ExposureVector(scheme, tuple(raw.tolist()), normalized=False)
 
 
@@ -389,13 +387,8 @@ def expected_group_exposure(
     order rankings appear in the sequence.
     """
     scheme = table.scheme(scheme) if isinstance(scheme, str) else scheme
-    if any(len(r) == 0 for r in sequence.rankings):
-        raise ValueError("cannot compute exposure of an empty ranking")
-    grid = [[r.entries] for r in sequence.rankings]
-    runs, members = compile_table(grid, table, scheme, fallback, model.cutoff)
-    raw = weighted_rows(runs, members, attention_weights(model, runs.rows.shape[-1]))[:, 0]
-    n = len(sequence)
-    return ExposureVector(scheme, tuple(math.fsum(col) / n for col in raw.T.tolist()))
+    raw = _raw_exposures(sequence.rankings, table, scheme, model, fallback)
+    return ExposureVector(scheme, tuple(math.fsum(col) / len(sequence) for col in raw.T.tolist()))
 
 
 def target_group_exposure(
@@ -420,19 +413,10 @@ def target_group_exposure(
     relevant = sorted(qrels.relevant(query_id).items(), key=lambda t: (-t[1], t[0]))
     if not relevant:
         return ExposureVector(scheme, (0.0,) * scheme.k, normalized=False)
-    n = len(relevant)
-    weights = attention_weights(model, n)
-    padded = np.zeros(n, dtype=np.float64)
-    padded[: len(weights)] = weights
-    per_doc = np.empty(n, dtype=np.float64)
-    start = 0
-    while start < n:
-        end = start
-        while end + 1 < n and relevant[end + 1][1] == relevant[start][1]:
-            end += 1
-        band = padded[start : end + 1]
-        per_doc[start : end + 1] = math.fsum(band) / len(band)
-        start = end + 1
+    weights = attention_weights(model, len(relevant))
+    padded = np.pad(weights, (0, len(relevant) - len(weights)))
+    bands = np.split(padded, np.flatnonzero(np.diff([g for _, g in relevant])) + 1)
+    per_doc = np.repeat([math.fsum(band) / len(band) for band in bands], list(map(len, bands)))
     runs, members = compile_table([[relevant]], table, scheme, fallback)
     gamma = weighted_rows(runs, members, per_doc)[0, 0]
     return ExposureVector(scheme, tuple(gamma.tolist()), normalized=False)

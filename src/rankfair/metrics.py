@@ -30,7 +30,7 @@ from .exposure import (
     QrelsTargets,
     attention_weights,
     compile_codes,
-    compile_table,
+    cumulative_exposure,
     member_rows,
     normalized_masses,
     target_uniform,
@@ -183,12 +183,8 @@ def awrf(
     scheme = table.scheme(scheme) if isinstance(scheme, str) else scheme
     if not target.normalized and abs(target.total - 1.0) > SUM_TOL:
         raise NotADistribution("target exposure must be normalized")
-    if len(ranking) == 0:
-        raise ValueError("cannot compute exposure of an empty ranking")
-    runs, members = compile_table([[ranking.entries]], table, scheme, fallback, model.cutoff)
-    return float(
-        awrf_scores(runs, members, target.as_array(), scheme, model, divergence, epsilon)[0, 0]
-    )
+    observed = cumulative_exposure(ranking, table, scheme, model, fallback).normalize()
+    return float(divergence_fn(divergence)(*_distributions(observed, target, flat=True), epsilon))
 
 
 class EEMetrics(NamedTuple):
@@ -448,6 +444,8 @@ def score_runset(
     """
     if not schemes:
         raise ConfigError("at least one scheme is required")
+    if len(set(schemes)) < len(schemes):
+        raise ConfigError(f"schemes {list(schemes)} name a scheme more than once")
     work: list[tuple[str, GroupMembershipTable, GroupScheme]] = []
     for name in schemes:
         work.append((f"awrf:{name}", table, table.scheme(name)))

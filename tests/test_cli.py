@@ -586,6 +586,20 @@ class TestCheckBeforeWork:
         self.fails(["sweep", "--config", path], "ConfigError: sweep needs exactly one scheme; pass --scheme")
         assert calls == [] and not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["evaluate", "compare", "sweep"])
+    def test_a_repeated_scheme_name(self, spied, command):
+        (tmp_path, config_path, config), calls = spied
+        args = [command, "--config", str(config_path), "--scheme", "pair", "--scheme", "pair"]
+        self.fails(args, "ConfigError: --scheme repeats schemes ['pair']")
+        config["eval_schemes"] = ["pair", "pair"]
+        path = write_config(tmp_path, config, "twice.json")
+        self.fails([command, "--config", path], "ConfigError: config key 'eval_schemes' repeats schemes ['pair']")
+        config["schemes"] *= 2
+        del config["eval_schemes"]
+        path = write_config(tmp_path, config, "declared.json")
+        self.fails([command, "--config", path], "ConfigError: config key 'schemes' repeats schemes ['pair']")
+        assert calls == [] and not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "command,flag,role",
         [

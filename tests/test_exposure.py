@@ -302,6 +302,15 @@ class TestTargetGroupExposure:
         t = target_group_exposure(qrels, "q", table, G2, AttentionModel.geometric(0.5))
         np.testing.assert_allclose(t.masses, [0.375, 0.375], atol=0, rtol=0)
 
+    def test_two_bands_by_hand(self):
+        # grade 3: d1 (g0) and d2 (g1) share ranks 1-2, (0.5 + 0.25) / 2 = 0.375
+        # each; grade 1: d3 and d4 (both g0) share ranks 3-4, (0.125 + 0.0625)
+        # / 2 = 0.09375 each; g0 = 0.375 + 2 * 0.09375, g1 = 0.375
+        table = make_table(G2, {"d1": 0, "d2": 1, "d3": 0, "d4": 0})
+        qrels = Qrels({"q": {"d1": 3, "d2": 3, "d3": 1, "d4": 1}})
+        t = target_group_exposure(qrels, "q", table, G2, AttentionModel.geometric(0.5))
+        assert t.masses == (0.5625, 0.375) and not t.normalized
+
     def test_distinct_grades_single_permutation(self):
         table = make_table(G2, {"d1": 0, "d2": 1, "d3": 0})
         qrels = Qrels({"q": {"d1": 3, "d2": 2, "d3": 1}})

@@ -7,8 +7,10 @@ sum is exact (``math.fsum``). It shares no array code with the kernel.
 A second reference holds the kernel's bits: the fancy-indexing gathers the
 kernel was first written with. Gathering the same rows another way must
 hand the same operands to the same matmul, so results are compared bit for
-bit. Both sides run in one process on one BLAS, so the comparison holds on
-any CPU; no literal output digest is pinned.
+bit. The one-ranking functions, now compositions of the kernel's parts,
+are held to their former formulations the same way. Both sides run in one
+process on one BLAS, so the comparison holds on any CPU; no literal output
+digest is pinned.
 """
 
 import math
@@ -40,10 +42,12 @@ from rankfair.exposure import (
     attention_weights,
     compile_codes,
     compile_entries,
+    compile_table,
     cumulative_exposure,
     expected_group_exposure,
     member_rows,
     target_from_qrels,
+    target_group_exposure,
     weighted_rows,
 )
 from rankfair.metrics import KL_EPSILON, LN2, MetricConfig, awrf, evaluate_runset
@@ -513,6 +517,92 @@ def test_kernel_gathers_match_fancy_indexing_bit_for_bit(data):
         weights = np.random.default_rng(seed).uniform(0.0, 3.0, runs.rows.shape[1:])
     got = weighted_rows(runs, members, weights)
     assert same_bits(got, fancy_weighted_rows(runs, members, weights))
+
+
+def former_raw_exposures(rankings, table, scheme, model, policy):
+    """Raw exposure of each ranking as ``raw_exposure_array`` (one ranking)
+    and ``expected_group_exposure`` (a sequence) computed it: a grid of the
+    rankings compiled and contracted with the attention weights."""
+    runs, members = compile_table([[r.entries] for r in rankings], table, scheme, policy, model.cutoff)
+    return weighted_rows(runs, members, attention_weights(model, runs.rows.shape[-1]))[:, 0]
+
+
+def former_awrf(ranking, table, scheme, target, model, divergence, policy):
+    """``awrf`` as the run-set kernel on a one-ranking grid."""
+    runs, members = compile_table([[ranking.entries]], table, scheme, policy, model.cutoff)
+    scores = metrics.awrf_scores(runs, members, target.as_array(), scheme, model, divergence)
+    return np.array([scores[0, 0]])
+
+
+def former_band_weights(relevant, model):
+    """Per-document target attention by the loop over grade bands that
+    ``target_group_exposure`` had: each band's mean weight, summed exactly."""
+    n = len(relevant)
+    weights = attention_weights(model, n)
+    padded = np.zeros(n, dtype=np.float64)
+    padded[: len(weights)] = weights
+    per_doc = np.empty(n, dtype=np.float64)
+    start = 0
+    while start < n:
+        end = start
+        while end + 1 < n and relevant[end + 1][1] == relevant[start][1]:
+            end += 1
+        band = padded[start : end + 1]
+        per_doc[start : end + 1] = math.fsum(band) / len(band)
+        start = end + 1
+    return per_doc
+
+
+def former_target(qrels, table, scheme, model, policy):
+    relevant = sorted(qrels.relevant("q0").items(), key=lambda t: (-t[1], t[0]))
+    if not relevant:
+        return np.zeros(scheme.k)
+    runs, members = compile_table([[relevant]], table, scheme, policy)
+    return weighted_rows(runs, members, former_band_weights(relevant, model))[0, 0]
+
+
+def masses_of(fn, *args):
+    """The masses of the exposure vector ``fn`` returns, as an array."""
+    return np.array(fn(*args).masses)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_one_ranking_functions_match_their_former_formulations_bit_for_bit(data):
+    docs = [f"d{i}" for i in range(data.draw(st.integers(1, 30)))]
+    scheme = scheme_of("a", data.draw(st.integers(2, 5)))
+    table = data.draw(tables([scheme], docs))  # one-hot and soft rows, a quarter missing
+    model = data.draw(attention_models())
+    policy = data.draw(st.sampled_from(POLICIES))
+    sequence = data.draw(st.lists(rankings(docs).filter(len), min_size=1, max_size=4))
+    ranking = sequence[0]
+
+    def check(got, want):
+        if isinstance(want, str) or isinstance(got, str):
+            assert got == want
+        else:
+            assert same_bits(got, want)
+
+    check(outcome(masses_of, cumulative_exposure, ranking, table, scheme, model, policy),
+          outcome(lambda: former_raw_exposures([ranking], table, scheme, model, policy)[0]))
+    got = outcome(masses_of, expected_group_exposure, RankingSequence("q0", tuple(sequence)),
+                  table, scheme, model, policy)
+    raws = outcome(former_raw_exposures, sequence, table, scheme, model, policy)
+    check(got, raws if isinstance(raws, str) else
+          np.array([math.fsum(col) / len(sequence) for col in raws.T.tolist()]))
+
+    raw = data.draw(st.lists(WEIGHTS, min_size=scheme.k, max_size=scheme.k))
+    target = ExposureVector(scheme, normalize([w + 0.01 for w in raw], scheme).weights, normalized=True)
+    divergence = data.draw(st.sampled_from(["js", "kl"]))
+    check(outcome(lambda: np.array([awrf(ranking, table, scheme, target, model, divergence,
+                                         fallback=policy)])),
+          outcome(former_awrf, ranking, table, scheme, target, model, divergence, policy))
+
+    grades = {d: data.draw(st.integers(0, 3)) for d in data.draw(
+        st.lists(st.sampled_from(docs), unique=True, min_size=1))}
+    qrels = Qrels({"q0": grades})
+    check(outcome(masses_of, target_group_exposure, qrels, "q0", table, scheme, model, policy),
+          outcome(former_target, qrels, table, scheme, model, policy))
 
 
 def test_compile_peak_memory_stays_near_its_rows():

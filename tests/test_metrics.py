@@ -259,6 +259,11 @@ class TestEvaluateRunset:
         second = score_runset(runset, qrels, copy, ["pair"], config)
         assert reports_to_json(first) == reports_to_json(second)
 
+    def test_a_repeated_scheme_is_a_config_error(self):
+        runset, qrels, table = small_experiment()
+        with pytest.raises(ConfigError, match=r"schemes \['pair', 'pair'\] name a scheme more than once"):
+            score_runset(runset, qrels, table, ["pair", "pair"])
+
     def test_single_query_mean(self):
         runset, qrels, table = small_experiment(n_queries=1)
         reports = evaluate_runset(runset, qrels, table, ["pair"])
