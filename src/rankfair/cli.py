@@ -175,7 +175,7 @@ class ExperimentConfig:
     eval_schemes: tuple[str, ...] = ()
     divergence: str = _setting("js", choices=("kl", "js"))
     attention: AttentionModel = DEFAULT_ATTENTION
-    epsilon: float = 1e-10
+    epsilon: float = _setting(1e-10, minimum=0.0)
     target: str = "qrels"  # "qrels" | "uniform" | path to a target file
     target_mode: str = _setting("binary", choices=("binary", "graded"))
     fallback: str = _setting("uniform", choices=("uniform", "all-unknown", "reject"))

@@ -61,8 +61,8 @@ class AttentionModel:
             raise ValueError(f"unknown attention model {self.kind!r}")
         if self.kind == "geometric" and not 0.0 < self.patience < 1.0:
             raise InvalidPatience(f"patience must be in (0, 1), got {self.patience}")
-        if self.cutoff is not None and self.cutoff < 1:
-            raise ValueError("cutoff must be at least 1")
+        if self.cutoff is not None and not (self.cutoff >= 1 and float(self.cutoff).is_integer()):
+            raise ValueError(f"cutoff must be a whole number of at least 1, got {self.cutoff}")
         if self.kind == "uniform" and self.cutoff is None:
             raise ValueError("uniform attention requires a cutoff")
 

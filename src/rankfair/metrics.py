@@ -69,11 +69,7 @@ def _kl(p: np.ndarray, q: np.ndarray, epsilon: float) -> np.ndarray:
     """KL divergence along the last axis of validated distributions."""
     ps = p + epsilon
     qs = q + epsilon
-    ps = ps / ps.sum(axis=-1, keepdims=True)
-    qs = qs / qs.sum(axis=-1, keepdims=True)
-    if epsilon == 0.0:
-        return _kl_terms(ps, qs)
-    return np.sum(ps * np.log(ps / qs), axis=-1)
+    return _kl_terms(ps / ps.sum(axis=-1, keepdims=True), qs / qs.sum(axis=-1, keepdims=True))
 
 
 def _js(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -95,8 +91,11 @@ def kl_divergence(p, q, epsilon: float = KL_EPSILON) -> float:
 
     Both inputs are smoothed by ``epsilon`` and renormalized before the sum,
     which keeps the value finite when ``q`` has zero entries. Identical
-    inputs give exactly zero.
+    inputs give exactly zero. ``epsilon`` must be at least 0; with 0, the
+    divergence is infinite where ``p`` has mass that ``q`` lacks.
     """
+    if not epsilon >= 0.0:
+        raise ValueError(f"epsilon must be at least 0, got {epsilon}")
     return float(_kl(*_distributions(p, q, flat=True), epsilon))
 
 
@@ -123,16 +122,10 @@ def divergence_fn(name: str):
 def worst_case_divergence(name: str, k: int, epsilon: float = KL_EPSILON) -> float:
     """Divergence of two maximally different rankings' exposures.
 
-    Used as the score of a query a system failed to return: ln 2 for JS, and
-    for KL the smoothed divergence between two disjoint one-hot vectors.
+    Used as the score of a query a system failed to return: the divergence
+    between two disjoint one-hot vectors, ln 2 for JS.
     """
-    if name == "js":
-        return LN2
-    a = np.zeros(k)
-    b = np.zeros(k)
-    a[0] = 1.0
-    b[1] = 1.0
-    return kl_divergence(a, b, epsilon)
+    return float(divergence_fn(name)(*np.eye(k)[:2], epsilon))
 
 
 def awrf_scores(
@@ -242,6 +235,8 @@ class MetricConfig:
     def __post_init__(self):
         if self.divergence not in _DIVERGENCES:
             raise ConfigError(f"unknown divergence {self.divergence!r}")
+        if not 0.0 <= self.epsilon < math.inf:
+            raise ConfigError(f"epsilon must be a finite number of at least 0, got {self.epsilon}")
         if self.target not in ("qrels-binary", "qrels-graded", "uniform", "file"):
             raise ConfigError(f"unknown target mode {self.target!r}")
         if self.target == "file" and self.explicit_targets is None:
@@ -415,18 +410,6 @@ def _reject_first_missing(evaluations: Sequence[CompiledEvaluation]) -> None:
         raise MissingDocument(f"doc {doc!r} has no membership for scheme {scheme.name!r}")
 
 
-def _shared_docs(table: GroupMembershipTable, names: Sequence[str]) -> GroupMembershipTable:
-    """The schemes ``names`` of ``table``, each over only the documents that
-    every one of them annotates."""
-    columns = {name: table.columns(name) for name in names}
-    shared = set.intersection(*(set(ids) for ids, _ in columns.values()))
-    kept = {}
-    for name, (ids, rows) in columns.items():
-        keep = [i for i, doc in enumerate(ids) if doc in shared]
-        kept[name] = ([ids[i] for i in keep], rows[keep])
-    return GroupMembershipTable.from_columns(map(table.scheme, columns), kept, table.provenance)
-
-
 def score_runset(
     runset: RunSet,
     qrels: Qrels | None,
@@ -450,12 +433,13 @@ def score_runset(
     for name in schemes:
         work.append((f"awrf:{name}", table, table.scheme(name)))
     if len(schemes) >= 2 and config.include_overall:
-        # under reject, a document that a scheme lacks is missing from the
-        # intersection too, so it raises only where it is read, and then for
-        # a scheme that lacks it, which the query-by-query pass meets first
+        # under reject, the per-scheme evaluations check every document that
+        # any evaluation reads, and one that lacks a document sorts before
+        # the intersection, so the intersection's fallback rows go unread
         reject = config.fallback is MissingPolicy.REJECT
-        shared = _shared_docs(table, schemes) if reject else table
-        overall = intersect_tables(shared, list(schemes), fallback=config.fallback)
+        overall = intersect_tables(
+            table, list(schemes), fallback=MissingPolicy.UNIFORM if reject else config.fallback
+        )
         work.append(("awrf:overall", overall, overall.scheme("overall")))
     evaluations = [CompiledEvaluation(runset, qrels, tbl, scheme, config) for _, tbl, scheme in work]
     if config.fallback is MissingPolicy.REJECT:

@@ -600,6 +600,15 @@ class TestCheckBeforeWork:
         self.fails([command, "--config", path], "ConfigError: config key 'schemes' repeats schemes ['pair']")
         assert calls == [] and not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["evaluate", "compare", "sweep"])
+    def test_a_negative_epsilon(self, spied, command):
+        (tmp_path, _, config), calls = spied
+        config.update(epsilon=-0.4, divergence="kl")
+        path = write_config(tmp_path, config, "negative.json")
+        line = self.fails([command, "--config", path], "ConfigError: config key 'epsilon'")
+        assert line == "Error: ConfigError: config key 'epsilon' must be at least 0.0, got -0.4"
+        assert calls == [] and not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "command,flag,role",
         [

@@ -116,6 +116,15 @@ class TestAttentionWeights:
         w = attention_weights(AttentionModel.geometric(0.5, cutoff=2), 10)
         assert len(w) == 2
 
+    @pytest.mark.parametrize("cutoff", [3, 3.0, np.int64(3)])
+    def test_whole_number_cutoffs(self, cutoff):
+        assert len(attention_weights(AttentionModel.geometric(0.5, cutoff=cutoff), 10)) == 3
+
+    @pytest.mark.parametrize("cutoff", [2.5, math.nan, math.inf, 0, -1])
+    def test_cutoff_not_a_whole_number_of_at_least_one(self, cutoff):
+        with pytest.raises(ValueError, match="cutoff must be a whole number of at least 1"):
+            AttentionModel("geometric", cutoff=cutoff)
+
     def test_invalid_patience(self):
         with pytest.raises(InvalidPatience):
             AttentionModel.geometric(1.0)

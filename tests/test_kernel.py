@@ -8,7 +8,8 @@ A second reference holds the kernel's bits: the fancy-indexing gathers the
 kernel was first written with. Gathering the same rows another way must
 hand the same operands to the same matmul, so results are compared bit for
 bit. The one-ranking functions, now compositions of the kernel's parts,
-are held to their former formulations the same way. Both sides run in one
+and the KL and worst-case divergences, now on one summation path, are held
+to their former formulations the same way. Both sides run in one
 process on one BLAS, so the comparison holds on any CPU; no literal output
 digest is pinned.
 """
@@ -603,6 +604,64 @@ def test_one_ranking_functions_match_their_former_formulations_bit_for_bit(data)
     qrels = Qrels({"q0": grades})
     check(outcome(masses_of, target_group_exposure, qrels, "q0", table, scheme, model, policy),
           outcome(former_target, qrels, table, scheme, model, policy))
+
+
+def former_kl(p, q, epsilon):
+    """``_kl`` as it was: the smoothed sum by its own formula for a positive
+    ``epsilon``, and through ``_kl_terms`` only for zero."""
+    ps = p + epsilon
+    qs = q + epsilon
+    ps = ps / ps.sum(axis=-1, keepdims=True)
+    qs = qs / qs.sum(axis=-1, keepdims=True)
+    if epsilon == 0.0:
+        return metrics._kl_terms(ps, qs)
+    return np.sum(ps * np.log(ps / qs), axis=-1)
+
+
+def former_worst_case(name, k, epsilon):
+    """``worst_case_divergence`` as it was: ln 2 for JS, and for KL the
+    divergence of two one-hot vectors built by hand."""
+    if name == "js":
+        return LN2
+    a = np.zeros(k)
+    b = np.zeros(k)
+    a[0] = 1.0
+    b[1] = 1.0
+    return metrics.kl_divergence(a, b, epsilon)
+
+
+@st.composite
+def distribution_rows(draw, n, k):
+    """``n`` distributions over ``k`` entries, exact zeros common."""
+    rows = []
+    for _ in range(n):
+        raw = draw(st.lists(WEIGHTS | st.floats(0.0, 1.0), min_size=k, max_size=k))
+        raw[draw(st.integers(0, k - 1))] += 0.5  # not all zero
+        rows.append(raw)
+    rows = np.array(rows)
+    return rows / rows.sum(axis=-1, keepdims=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_kl_matches_its_former_formula_bit_for_bit(data):
+    k, n = data.draw(st.integers(2, 16)), data.draw(st.integers(1, 4))
+    p, q = data.draw(distribution_rows(n, k)), data.draw(distribution_rows(n, k))
+    epsilon = data.draw(st.sampled_from([1e-10, 0.5, 5e-324]))
+    with np.errstate(over="ignore"):  # a ratio to 5e-324 can overflow to inf
+        assert same_bits(metrics._kl(p, q, epsilon), former_kl(p, q, epsilon))
+        got = metrics.kl_divergence(p[0], q[0], epsilon)
+        assert same_bits(np.array([got]), np.array([former_kl(p[0], q[0], epsilon)]))
+
+
+@pytest.mark.parametrize("name", ["js", "kl"])
+@pytest.mark.parametrize("epsilon", [1e-10, 0.5, 5e-324, 0.0])
+def test_worst_case_matches_its_former_formula_bit_for_bit(name, epsilon):
+    for k in range(2, 17):
+        with np.errstate(over="ignore"):  # a ratio to 5e-324 can overflow to inf
+            got = metrics.worst_case_divergence(name, k, epsilon)
+            want = former_worst_case(name, k, epsilon)
+        assert same_bits(np.array([got]), np.array([want]))
 
 
 def test_compile_peak_memory_stays_near_its_rows():

@@ -90,6 +90,16 @@ class TestKL:
         with pytest.raises(LengthMismatch):
             kl_divergence((1.0, 0.0), (1.0, 0.0, 0.0))
 
+    def test_negative_epsilon_rejected(self):
+        for epsilon in (-0.3, -5e-324, math.nan):
+            with pytest.raises(ValueError, match="epsilon must be at least 0"):
+                kl_divergence((1.0, 0.0), (0.0, 1.0), epsilon=epsilon)
+
+    def test_zero_epsilon_is_unsmoothed(self):
+        assert kl_divergence((1.0, 0.0), (0.0, 1.0), epsilon=0.0) == math.inf
+        value = kl_divergence((0.5, 0.5), (0.25, 0.75), epsilon=0.0)
+        assert abs(value - kl_oracle((0.5, 0.5), (0.25, 0.75), 0.0)) < 1e-15
+
     def test_not_a_distribution(self):
         with pytest.raises(NotADistribution):
             kl_divergence((0.9, 0.3), (0.5, 0.5))
@@ -313,6 +323,14 @@ class TestEvaluateRunset:
     def test_complement_requires_js(self):
         with pytest.raises(ConfigError):
             MetricConfig(divergence="kl", complement=True)
+
+    @pytest.mark.parametrize("epsilon", [-1.0, -5e-324, math.nan, math.inf])
+    def test_negative_or_non_finite_epsilon_rejected(self, epsilon):
+        with pytest.raises(ConfigError, match="epsilon"):
+            MetricConfig(divergence="kl", epsilon=epsilon)
+
+    def test_zero_epsilon_accepted(self):
+        assert MetricConfig(divergence="kl", epsilon=0.0).epsilon == 0.0
 
     def test_unknown_scheme_rejected(self):
         runset, qrels, table = small_experiment()
